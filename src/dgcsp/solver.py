@@ -7,6 +7,14 @@ still have a supporting target tuple, to a fixpoint.  Search order is
 deterministic: smallest domain first (ties by variable position), values
 in target order.
 
+Support is precomputed once per target relation and shared by every
+constraint on it.  For a binary relation each value has a bitmask of its
+in-neighbours and one of its out-neighbours, and a memo per direction
+maps a domain mask to the union of its values' neighbour masks, so a
+binary revision is two mask lookups and two ANDs.  Other arities scan
+the relation's tuples.  A leaf is checked against the relation's tuple
+set before it is reported.
+
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
 outcome, never as "no".
@@ -22,19 +30,53 @@ DEFAULT_BUDGET = 10_000_000
 class BudgetExhausted(RuntimeError):
     """The solver hit its node budget before finishing."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, spent):
         super().__init__(f"search budget of {budget} nodes exhausted")
         self.budget = budget
+        self.spent = spent
 
 
 class SolverUsageError(ValueError):
     """Bad instance: mismatched signatures, unknown pins, and the like."""
 
 
+class _Support:
+    """The tuples of one target relation as value indices, and for a
+    binary relation the neighbour masks and their memos."""
+
+    def __init__(self, tuples, arity, nvals):
+        self.tuples = tuple(tuples)
+        self.tuple_set = frozenset(self.tuples)
+        if arity == 2:
+            into = [0] * nvals      # into[b]: values a with (a, b) allowed
+            out_of = [0] * nvals    # out_of[a]: values b with (a, b) allowed
+            for a, b in self.tuples:
+                into[b] |= 1 << a
+                out_of[a] |= 1 << b
+            self.neighbours = (into, out_of)
+            self.memos = ({}, {})
+
+    def project(self, pos, mask):
+        """Values at position ``pos`` (0 or 1) supported by some value of
+        ``mask`` at the other position."""
+        memo = self.memos[pos]
+        sup = memo.get(mask)
+        if sup is None:
+            nbrs = self.neighbours[pos]
+            sup = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                sup |= nbrs[low.bit_length() - 1]
+                rest ^= low
+            memo[mask] = sup
+        return sup
+
+
 @dataclass
 class _Constraint:
     scope: tuple[int, ...]          # variable positions
-    tuples: tuple[tuple[int, ...], ...]  # allowed value-index tuples
+    support: _Support               # the target relation it ranges over
 
 
 class HomInstance:
@@ -79,12 +121,12 @@ class HomInstance:
 
         self.constraints = []
         for r in source.relations:
-            ttuples = tuple(
-                tuple(target.index(x) for x in t)
-                for t in target.relation(r.name).tuples)
+            support = _Support(
+                (tuple(target.index(x) for x in t)
+                 for t in target.relation(r.name).tuples), r.arity, nvals)
             for st in r.tuples:
                 scope = tuple(source.index(x) for x in st)
-                self.constraints.append(_Constraint(scope, ttuples))
+                self.constraints.append(_Constraint(scope, support))
 
         # which constraints watch each variable
         self._watch = [[] for _ in self.vars]
@@ -109,21 +151,26 @@ class HomInstance:
     def _filter_constraint(self, masks, c):
         """Keep only values with a supporting tuple; None on wipeout.
 
-        Returns the set of variable positions whose mask shrank.
+        Returns the set of variable positions whose mask shrank.  Each
+        position's support is taken from the masks as they were on entry.
         """
         scope = c.scope
-        support = {}
-        for xi in scope:
-            support[xi] = 0
-        for t in c.tuples:
-            ok = True
-            for xi, vi in zip(scope, t):
-                if not (masks[xi] >> vi) & 1:
-                    ok = False
-                    break
-            if ok:
+        if len(scope) == 2:
+            x0, x1 = scope
+            support = {x0: 0, x1: 0}
+            support[x0] |= c.support.project(0, masks[x1])
+            support[x1] |= c.support.project(1, masks[x0])
+        else:
+            support = dict.fromkeys(scope, 0)
+            for t in c.support.tuples:
+                ok = True
                 for xi, vi in zip(scope, t):
-                    support[xi] |= 1 << vi
+                    if not (masks[xi] >> vi) & 1:
+                        ok = False
+                        break
+                if ok:
+                    for xi, vi in zip(scope, t):
+                        support[xi] |= 1 << vi
         changed = set()
         for xi, sup in support.items():
             new = masks[xi] & sup
@@ -156,7 +203,7 @@ class HomInstance:
     def _verify(self, assignment):
         for c in self.constraints:
             t = tuple(assignment[xi] for xi in c.scope)
-            if t not in c.tuples:
+            if t not in c.support.tuple_set:
                 return False
         return True
 
@@ -171,9 +218,7 @@ class HomInstance:
             return []
         if not self._propagate(masks):
             return []
-        out = []
-        state = [budget]
-        self._search(masks, state, out, limit)
+        out = self._search(masks, budget, limit)
         return [
             {self.vars[xi]: self.vals[vi] for xi, vi in enumerate(sol)}
             for sol in out
@@ -184,35 +229,49 @@ class HomInstance:
         sols = self.solve_all(budget=budget, limit=1)
         return sols[0] if sols else None
 
-    def _search(self, masks, state, out, limit):
-        # pick the unassigned variable with the smallest domain
-        best = -1
-        best_size = None
-        for xi, m in enumerate(masks):
-            size = m.bit_count()
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = xi, size
-        if best < 0:
-            assignment = [m.bit_length() - 1 for m in masks]
-            if self._verify(assignment):
-                out.append(tuple(assignment))
-            return len(out) != limit
+    def _search(self, masks, budget, limit):
+        """Depth-first search below propagated ``masks``.
 
-        m = masks[best]
-        vi = 0
-        while m:
-            if m & 1:
-                if state[0] <= 0:
-                    raise BudgetExhausted(state[0])
-                state[0] -= 1
-                trial = list(masks)
-                trial[best] = 1 << vi
-                if self._propagate(trial, self._watch[best]):
-                    if not self._search(trial, state, out, limit):
-                        return False
-            m >>= 1
-            vi += 1
-        return True
+        The stack holds, per open decision, the masks it branches from,
+        the branching variable and the values not yet tried.
+        """
+        out = []
+        spent = 0
+        stack = []
+        node = masks
+        while True:
+            if node is not None:
+                # branch on the unassigned variable with the smallest domain
+                best = -1
+                best_size = None
+                for xi, m in enumerate(node):
+                    size = m.bit_count()
+                    if size > 1 and (best_size is None or size < best_size):
+                        best, best_size = xi, size
+                if best < 0:
+                    assignment = [m.bit_length() - 1 for m in node]
+                    if self._verify(assignment):
+                        out.append(tuple(assignment))
+                    if len(out) == limit:
+                        return out
+                else:
+                    stack.append((node, best, node[best]))
+            if not stack:
+                return out
+            parent, best, rest = stack[-1]
+            if not rest:
+                stack.pop()
+                node = None
+                continue
+            low = rest & -rest
+            stack[-1] = (parent, best, rest ^ low)
+            if spent >= budget:
+                raise BudgetExhausted(budget, spent)
+            spent += 1
+            node = list(parent)
+            node[best] = low
+            if not self._propagate(node, self._watch[best]):
+                node = None
 
 
 def find_homomorphism(source, target, pins=None, domains=None,

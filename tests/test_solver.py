@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
                           count_homomorphisms, digraph_hom,
@@ -90,8 +92,20 @@ def test_enumeration_is_deterministic():
 def test_budget_exhaustion_raises():
     vs = [f"v{i}" for i in range(30)]
     inst = RelationalStructure(vs, [("E", 2, [(v, v) for v in vs])])
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as info:
         find_homomorphism(inst, leq_template(), budget=3)
+    assert info.value.budget == 3
+    assert info.value.spent == 3
+    assert "budget of 3 nodes" in str(info.value)
+
+
+def test_deep_search_needs_no_recursion():
+    """One branching decision per free variable: 1,500 levels deep."""
+    vs = [f"v{i}" for i in range(1500)]
+    inst = RelationalStructure(vs, [("E", 2, [("v0", "v1")])])
+    hom = find_homomorphism(inst, two_cycle())
+    assert hom is not None
+    assert hom["v0"] != hom["v1"]
 
 
 def test_digraph_wrappers():
@@ -106,3 +120,107 @@ def test_hom_instance_solve_all_limit():
     inst = HomInstance(cycle_instance(4), two_cycle())
     assert len(inst.solve_all()) == 2
     assert len(inst.solve_all(limit=1)) == 1
+
+
+# -- oracle: brute-force enumeration on tiny random instances ------------
+
+def _reference_search(nvars, constraints, doms, nodes):
+    """All solutions in the solver's documented search order, found by a
+    plain set-based search: each constraint keeps the values that occur
+    in a tuple lying inside the current domains, to a fixpoint; branch on
+    the smallest domain (ties by variable position), values ascending.
+    ``nodes[0]`` counts the values tried."""
+    doms = list(doms)
+    changed = True
+    while changed:
+        changed = False
+        for scope, tuples in constraints:
+            live = [t for t in tuples
+                    if all(v in doms[x] for x, v in zip(scope, t))]
+            for x in set(scope):
+                keep = doms[x] & {t[p] for t in live
+                                  for p, y in enumerate(scope) if y == x}
+                if not keep:
+                    return []
+                if keep != doms[x]:
+                    doms[x] = keep
+                    changed = True
+    open_vars = [x for x in range(nvars) if len(doms[x]) > 1]
+    if not open_vars:
+        return [tuple(min(d) for d in doms)]
+    best = min(open_vars, key=lambda x: (len(doms[x]), x))
+    out = []
+    for v in sorted(doms[best]):
+        nodes[0] += 1
+        trial = list(doms)
+        trial[best] = {v}
+        out += _reference_search(nvars, constraints, trial, nodes)
+    return out
+
+
+@st.composite
+def tiny_instances(draw):
+    nvars = draw(st.integers(1, 5))
+    nvals = draw(st.integers(1, 4))
+    svars = [f"x{i}" for i in range(nvars)]
+    tvals = [f"v{i}" for i in range(nvals)]
+    srels, trels = [], []
+    for r in range(draw(st.integers(0, 3))):
+        arity = draw(st.integers(1, 3))
+        tuples = draw(st.sets(
+            st.tuples(*[st.integers(0, nvals - 1)] * arity), max_size=10))
+        scopes = draw(st.lists(
+            st.tuples(*[st.integers(0, nvars - 1)] * arity), max_size=3))
+        trels.append((f"R{r}", arity, [tuple(tvals[v] for v in t)
+                                       for t in sorted(tuples)]))
+        srels.append((f"R{r}", arity, [tuple(svars[x] for x in s)
+                                       for s in scopes]))
+    pins = draw(st.dictionaries(st.sampled_from(svars),
+                                st.sampled_from(tvals), max_size=2))
+    domains = draw(st.dictionaries(
+        st.sampled_from(svars),
+        st.lists(st.sampled_from(tvals), unique=True), max_size=2))
+    return (RelationalStructure(svars, srels),
+            RelationalStructure(tvals, trels), pins, domains)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(tiny_instances())
+def test_solver_matches_brute_force(case):
+    """Same solutions as brute force, in the order and with the node count
+    of the reference search.  That order is not lexicographic: branching
+    on the smallest domain first can put a later variable first."""
+    source, target, pins, domains = case
+    nvars, nvals = len(source.domain), len(target.domain)
+    constraints = []
+    for r in source.relations:
+        allowed = {tuple(target.index(v) for v in t)
+                   for t in target.relation(r.name).tuples}
+        for names in r.tuples:
+            constraints.append((tuple(source.index(x) for x in names), allowed))
+    doms = [set(range(nvals)) for _ in range(nvars)]
+    for x, vals in domains.items():
+        doms[source.index(x)] &= {target.index(v) for v in vals}
+    for x, v in pins.items():
+        doms[source.index(x)] &= {target.index(v)}
+
+    brute = [a for a in itertools.product(range(nvals), repeat=nvars)
+             if all(a[x] in doms[x] for x in range(nvars))
+             and all(tuple(a[x] for x in scope) in allowed
+                     for scope, allowed in constraints)]
+
+    inst = HomInstance(source, target, pins=pins, domains=domains)
+    sols = inst.solve_all()
+    got = [tuple(target.index(s[x]) for x in source.domain) for s in sols]
+    assert sorted(got) == brute
+    nodes = [0]
+    if all(doms):
+        assert got == _reference_search(nvars, constraints, doms, nodes)
+    else:
+        assert got == []
+    # the search tree has exactly the reference's size
+    assert len(inst.solve_all(budget=nodes[0])) == len(got)
+    if nodes[0]:
+        with pytest.raises(BudgetExhausted):
+            inst.solve_all(budget=nodes[0] - 1)
+    assert inst.solve() == (sols[0] if sols else None)
