@@ -14,9 +14,9 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .reductions import UnionFind
 from .solver import DEFAULT_BUDGET, HomInstance
-from .structures import RelationalStructure, SizeGuardError, tuple_name
+from .structures import (RelationalStructure, SizeGuardError, UnionFind,
+                         tuple_name)
 from .templates import zigzag_digraph_template
 
 
@@ -312,25 +312,6 @@ def commutative_idempotent_binary_system(symbol="f"):
     return IdentitySystem({symbol: 2}, idents, [symbol])
 
 
-def edge_system(k, symbol="e"):
-    """The k-edge operation identities ((k+1)-ary), as standard in the
-    literature on few subpowers."""
-    if k < 2:
-        raise ValueError(f"edge operations need k >= 2, got {k}")
-    m = k + 1
-    t = lambda args: Term(symbol, tuple(args))
-    v = lambda n: Term(None, (n,))
-    rows = []
-    rows.append(["y", "y"] + ["x"] * (m - 2))
-    rows.append(["y", "x", "y"] + ["x"] * (m - 3))
-    for j in range(3, m):
-        row = ["x"] * m
-        row[j] = "y"
-        rows.append(row)
-    idents = [Identity(t(r), v("x")) for r in rows]
-    return IdentitySystem({symbol: m}, idents)
-
-
 # ---------------------------------------------------------------------
 # indicator search
 
@@ -440,26 +421,10 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET,
     return out
 
 
-def find_polymorphism(structure, arity, symbol="f", budget=DEFAULT_BUDGET):
-    """Any polymorphism of the given arity, or None."""
-    system = IdentitySystem({symbol: arity}, [])
-    out = find_interpretations(structure, system, budget=budget)
-    return out[symbol] if out else None
-
-
 def find_wnu(structure, arity, budget=DEFAULT_BUDGET):
     """A weak near-unanimity polymorphism of the given arity, or None."""
     out = find_interpretations(structure, wnu_system(arity), budget=budget)
     return out["w"] if out else None
-
-
-def wnu_report(structure, max_arity, budget=DEFAULT_BUDGET):
-    """Which arities in 3..max_arity admit a weak near-unanimity
-    polymorphism.  This is a bounded-arity probe, not a decision
-    procedure: a row of ``False`` only says no such operation exists up
-    to the stated arity."""
-    return {m: find_wnu(structure, m, budget=budget) is not None
-            for m in range(3, max_arity + 1)}
 
 
 # ---------------------------------------------------------------------

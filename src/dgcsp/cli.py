@@ -21,8 +21,7 @@ from . import templates
 from .algebra import (IdentityParseError, IdentitySystem, core_of,
                       find_interpretations, wnu_system)
 from .gadget import build_gadget
-from .lifting import (UnliftableSystemError, lift_general, lift_wnu,
-                      verify_lifted_system)
+from .lifting import UnliftableSystemError, lift_general, verify_lifted_system
 from .reductions import (Definite, amalgamate, backward_reduce,
                          forward_translate, stage3a_from_json,
                          stage3a_to_json)
@@ -80,10 +79,6 @@ def _emit(text, output):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _gadget_for(template):
-    return build_gadget(collapse_to_single_relation(template).structure)
 
 
 # ---------------------------------------------------------------------
@@ -214,14 +209,11 @@ def cmd_lift(args):
     if interp is None:
         print("none")
         return 1
-    if args.wnu is not None:
-        lifted = {"w": lift_wnu(gad, interp["w"])}
-    else:
-        try:
-            lifted = lift_general(gad, system, interp, budget=args.budget)
-        except UnliftableSystemError as exc:
-            print(f"unliftable: {exc}")
-            return 1
+    try:
+        lifted = lift_general(gad, system, interp, budget=args.budget)
+    except UnliftableSystemError as exc:
+        print(f"unliftable: {exc}")
+        return 1
     n = gad.digraph.num_vertices()
     for s in sorted(lifted):
         print(f"lifted {s} (arity {lifted[s].arity}) to {n} vertices")

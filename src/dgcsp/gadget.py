@@ -21,6 +21,7 @@ from .structures import (
     LevelAssignment,
     OrientedPathSpec,
     SizeGuardError,
+    path_edges,
 )
 
 
@@ -71,9 +72,6 @@ class QPath:
             if lo <= position <= hi:
                 out.append(l)
         return out
-
-    def realize(self, names=None, prefix="p"):
-        return self.spec.realize(names=names, prefix=prefix)
 
 
 def build_path(single_edges, k):
@@ -131,13 +129,6 @@ def path_position_map(src, dst):
             out[alo + 3] = bhi
     out[src.last_position] = dst.last_position
     return tuple(out)
-
-
-def path_hom_exists(src, dst):
-    """Whether one connecting path maps into another with endpoints on
-    endpoints; returns (exists, position map or None)."""
-    pm = path_position_map(src, dst)
-    return (pm is not None), pm
 
 
 @dataclass(frozen=True)
@@ -217,11 +208,7 @@ class GadgetDigraph:
                 levels[names[j]] = qlevels[j]
                 self.vertex_info[names[j]] = VertexInfo(
                     "path", qlevels[j], edge=(a, r), position=j)
-            for j, d in enumerate(qp.spec.word):
-                if d == FORWARD:
-                    edges.append((names[j], names[j + 1]))
-                else:
-                    edges.append((names[j + 1], names[j]))
+            edges.extend(path_edges(qp.spec.word, names))
             self.paths[(a, r)] = GadgetPath((a, r), qp, tuple(names))
 
         if len(set(vertices)) != len(vertices):
@@ -239,12 +226,6 @@ class GadgetDigraph:
     @property
     def height(self):
         return self.k + 2
-
-    def structure(self):
-        return self.digraph.as_structure()
-
-    def level_of(self, v):
-        return self.levels[v]
 
 
 @dataclass(frozen=True)

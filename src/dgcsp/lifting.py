@@ -3,23 +3,29 @@
 An endomorphism of a single-relation template extends canonically to
 its gadget: elements and tuples map through the template operation and
 each connecting path follows the unique embedding into its image path.
-The same idea extends to higher arities: a weak near-unanimity
-polymorphism of the template lifts to one of the gadget, and more
-generally any family of idempotent operations satisfying a system of
-linear identities lifts, provided each identity is balanced or uses at
-most two variables and the zigzag admits operations for the same
-system.  Off-diagonal inputs are resolved through the zigzag
-interpretations and tie-breaking orders on gadget vertices; tuples
-whose entries sit on two levels are tied element-major when the zigzag
-picks the lower level and relation-major when it picks the upper one,
-so the choice stays edge-compatible at both ends of the gadget.
+The same idea extends to higher arities: any family of idempotent
+operations satisfying a system of linear identities lifts, provided
+each identity is balanced or uses at most two variables and the zigzag
+admits operations for the same system.  Weak near-unanimity operations
+are one such system and lift through the same construction.
+
+The lifted value of a tuple of gadget vertices depends first on its
+levels.  On one level, tuples of elements or of relation tuples map
+through the template operation, and tuples in the diagonal component
+of the gadget's power follow the target path, using the zigzag
+interpretation where every entry sits in a zigzag.  Tuples that no
+product edge touches only have to satisfy the identities.  Tuples whose
+entries sit on two levels are tied element-major when the zigzag picks
+the lower level and relation-major when it picks the upper one, so the
+choice stays edge-compatible at both ends of the gadget.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .algebra import check_identities, find_interpretations
+from .algebra import (_ZPOS, _ZVERT, check_identities, find_interpretations,
+                      wnu_system)
 from .gadget import elem_name, path_position_map, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
@@ -31,10 +37,6 @@ class UnliftableSystemError(ValueError):
 
 class LiftInvariantError(RuntimeError):
     """An internal invariant of the lifting construction failed."""
-
-
-_ZPOS = {"00": 0, "01": 1, "10": 2, "11": 3}
-_ZVERT = {p: v for v, p in _ZPOS.items()}
 
 
 class GadgetOrder:
@@ -55,12 +57,10 @@ class GadgetOrder:
     """
 
     def __init__(self, gadget):
-        self.gadget = gadget
         first_tuple = gadget.relation.tuples[0]
         first_elem = gadget.template.domain[0]
         a_index = {a: i for i, a in enumerate(gadget.template.domain)}
         r_index = {r: i for i, r in enumerate(gadget.relation.tuples)}
-        self._eps = {}
         self._key = {}
         self._high_key = {}
         for v, info in gadget.vertex_info.items():
@@ -73,13 +73,9 @@ class GadgetOrder:
             else:
                 edge = info.edge
                 pos = info.position
-            self._eps[v] = edge
             ai, ri = a_index[edge[0]], r_index[edge[1]]
             self._key[v] = (info.level, ai, ri, pos)
             self._high_key[v] = (info.level, ri, ai, pos)
-
-    def eps(self, v):
-        return self._eps[v]
 
     def key(self, v):
         return self._key[v]
@@ -207,45 +203,16 @@ def _target_edge(gadget, op_elem, infos):
     return (a, r)
 
 
-def _candidate_sections(gadget, infos, level):
-    """Sections all owning paths share at this level, among the one or
-    two sections a level can meet."""
-    cands = []
+def _common_section(gadget, infos, level):
+    """First section, among the one or two a level can meet, that all
+    owning paths share."""
     for l in (level - 1, level):
-        if not 1 <= l <= gadget.k:
-            continue
-        if all(l in gadget.paths[i.edge].qpath.sections_at(i.position)
-               for i in infos):
-            cands.append(l)
-    if not cands:
-        raise LiftInvariantError(
-            f"no common section at level {level} for {[str(i) for i in infos]}")
-    return cands
-
-
-def _section_target(gadget, infos, level, section, edge, zig_value):
-    """Image vertex inside one section of the target path.
-
-    ``zig_value`` resolves the zigzag-to-zigzag case from the local
-    positions of the entries whose source section is a zigzag; it
-    returns a local position in 0..3.
-    """
-    tp = gadget.paths[edge]
-    lo, hi = tp.qpath.section_spans[section - 1]
-    if tp.qpath.is_single(section):
-        pos = lo if level == section else hi
-        return tp.vertices[pos]
-    locals_ = []
-    for i in infos:
-        sq = gadget.paths[i.edge].qpath
-        if not sq.is_single(section):
-            slo, _ = sq.section_spans[section - 1]
-            locals_.append(i.position - slo)
-    if not locals_:
-        raise LiftInvariantError(
-            "target section is a zigzag but every source section is a "
-            "single edge")
-    return tp.vertices[lo + zig_value(locals_)]
+        if 1 <= l <= gadget.k and all(
+                l in gadget.paths[i.edge].qpath.sections_at(i.position)
+                for i in infos):
+            return l
+    raise LiftInvariantError(
+        f"no common section at level {level} for {[str(i) for i in infos]}")
 
 
 def lift_wnu(gadget, table):
@@ -253,68 +220,14 @@ def lift_wnu(gadget, table):
     gadget digraph.
 
     The table must be an idempotent weak near-unanimity polymorphism of
-    the gadget's template, of arity at least 3.  Returns a
-    :class:`LiftedOperation` of the same arity.
+    the gadget's template, of arity at least 3.  Its identities are
+    balanced and use two variables, so this is the general lift of
+    ``wnu_system(m)``; returns its :class:`LiftedOperation`.
     """
-    from .algebra import wnu_system
-
     m = table.arity
     if m < 3:
         raise UnliftableSystemError("weak near-unanimity needs arity >= 3")
-    ok, why = check_identities({"w": table}, wnu_system(m),
-                               domain=gadget.template.domain)
-    if not ok:
-        raise UnliftableSystemError(f"table is not a weak near-unanimity: {why}")
-    bad = table.polymorphism_failure(gadget.template)
-    if bad is not None:
-        raise UnliftableSystemError(f"table is not a polymorphism: {bad}")
-
-    levels = gadget.levels
-
-    def evaluator(c):
-        lvls = [levels[x] for x in c]
-        if len(set(lvls)) != 1:
-            outliers = [i for i in range(m)
-                        if len({lvls[j] for j in range(m) if j != i}) == 1]
-            if outliers:
-                if len(outliers) != 1:
-                    raise LiftInvariantError(f"ambiguous level outlier in {c}")
-                return c[outliers[0]], "level-outlier"
-            return c[0], "level-fallback"
-        if not in_diagonal_component(gadget, c):
-            outliers = [i for i in range(m)
-                        if len({c[j] for j in range(m) if j != i}) == 1]
-            if outliers:
-                if len(outliers) != 1:
-                    raise LiftInvariantError(f"ambiguous value outlier in {c}")
-                return c[outliers[0]], "value-outlier"
-            return c[0], "value-fallback"
-
-        infos = [gadget.vertex_info[x] for x in c]
-        if all(i.kind == "elem" for i in infos):
-            return elem_name(table(*(i.element for i in infos))), "elements"
-        if all(i.kind == "tup" for i in infos):
-            r = tuple(table(*(i.rtuple[j] for i in infos))
-                      for j in range(gadget.k))
-            if r not in gadget.relation.tuples:
-                raise LiftInvariantError(f"image tuple {r} leaves the relation")
-            return tup_name(r), "tuples"
-
-        lam = lvls[0]
-        edge = _target_edge(gadget, table, infos)
-        cands = _candidate_sections(gadget, infos, lam)
-        values = [_section_target(gadget, infos, lam, l, edge, min)
-                  for l in cands]
-        if len(values) == 2 and values[0] != values[1]:
-            raise LiftInvariantError(
-                f"adjacent sections disagree on {c}: {values}")
-        return values[0], "internal"
-
-    return LiftedOperation(gadget, m, evaluator, name=f"wnu{m}-lift")
-
-
-# ---------------------------------------------------------------------
-# general lift
+    return _lift(gadget, wnu_system(m), {"w": table})["w"]
 
 
 def lift_general(gadget, system, interps, zigzag_interps=None,
@@ -332,6 +245,10 @@ def lift_general(gadget, system, interps, zigzag_interps=None,
     Returns symbol -> :class:`LiftedOperation`; the lifted family
     satisfies the same system on the gadget digraph.
     """
+    return _lift(gadget, system, interps, zigzag_interps, budget)
+
+
+def _lift(gadget, system, interps, zigzag_interps=None, budget=DEFAULT_BUDGET):
     missing = set(system.symbols) - set(system.idempotent)
     if missing:
         raise UnliftableSystemError(
@@ -370,61 +287,41 @@ def lift_general(gadget, system, interps, zigzag_interps=None,
                 f"zigzag interpretation of {s} is not a polymorphism: {bad}")
 
     order = GadgetOrder(gadget)
-    levels = gadget.levels
-    out = {}
-    for s, m in system.symbols.items():
-        out[s] = LiftedOperation(
-            gadget, m,
-            _general_evaluator(gadget, order, levels, interps[s],
-                               zigzag_interps[s], m),
-            name=f"{s}-lift")
-    return out
+    g = gadget.digraph
+    no_in = frozenset(v for v in g.vertices if not g.in_neighbors(v))
+    no_out = frozenset(v for v in g.vertices if not g.out_neighbors(v))
+    return {s: LiftedOperation(
+                gadget, m,
+                _general_evaluator(gadget, order, no_in, no_out, interps[s],
+                                   zigzag_interps[s], m),
+                name=f"{s}-lift")
+            for s, m in system.symbols.items()}
 
 
-def _general_evaluator(gadget, order, levels, f_elem, f_zig, m):
+def _general_evaluator(gadget, order, no_in, no_out, f_elem, f_zig, m):
+    levels = gadget.levels.levels
+    vertex_info = gadget.vertex_info
+
     def evaluator(c):
-        infos = [gadget.vertex_info[x] for x in c]
-        if all(i.kind == "elem" for i in infos):
-            return elem_name(f_elem(*(i.element for i in infos))), "elements"
-        if all(i.kind == "tup" for i in infos):
-            r = tuple(f_elem(*(i.rtuple[j] for i in infos))
-                      for j in range(gadget.k))
-            if r not in gadget.relation.tuples:
-                raise LiftInvariantError(f"image tuple {r} leaves the relation")
-            return tup_name(r), "tuples"
+        lvls = [levels[x] for x in c]
+        lvlset = sorted(set(lvls))
+        if len(lvlset) == 1:
+            infos = [vertex_info[x] for x in c]
+            if all(i.kind == "elem" for i in infos):
+                return elem_name(f_elem(*(i.element for i in infos))), "elements"
+            if all(i.kind == "tup" for i in infos):
+                r = tuple(f_elem(*(i.rtuple[j] for i in infos))
+                          for j in range(gadget.k))
+                if r not in gadget.relation.tuples:
+                    raise LiftInvariantError(
+                        f"image tuple {r} leaves the relation")
+                return tup_name(r), "tuples"
+            if in_diagonal_component(gadget, c):
+                # all entries internal at a common level
+                return _diagonal_value(gadget, order, f_elem, f_zig, m,
+                                       infos, lvlset[0])
 
-        if in_diagonal_component(gadget, c):
-            # all entries internal at a common level
-            lam = levels[c[0]]
-            edge = _target_edge(gadget, f_elem, infos)
-            section = _candidate_sections(gadget, infos, lam)[0]
-            tp = gadget.paths[edge]
-            if tp.qpath.is_single(section):
-                value = _section_target(gadget, infos, lam, section, edge, None)
-                return value, "diagonal-single"
-            zigs = [i for i in infos
-                    if not gadget.paths[i.edge].qpath.is_single(section)]
-            if len(zigs) == m:
-                lo, _ = tp.qpath.section_spans[section - 1]
-                locs = []
-                for i in infos:
-                    slo, _ = gadget.paths[i.edge].qpath.section_spans[section - 1]
-                    locs.append(i.position - slo)
-                z = f_zig(*(_ZVERT[p] for p in locs))
-                return tp.vertices[lo + _ZPOS[z]], "diagonal-zigzag"
-            lo, _ = tp.qpath.section_spans[section - 1]
-            cands = []
-            for i in zigs:
-                slo, _ = gadget.paths[i.edge].qpath.section_spans[section - 1]
-                cands.append(tp.vertices[lo + (i.position - slo)])
-            if not cands:
-                raise LiftInvariantError(
-                    "zigzag target section with no zigzag sources")
-            return order.minimum(cands), "diagonal-mixed"
-
-        g = gadget.digraph
-        if (any(not g.out_neighbors(x) for x in c)
-                and any(not g.in_neighbors(x) for x in c)):
+        if not no_out.isdisjoint(c) and not no_in.isdisjoint(c):
             # no edge of the product power touches this tuple, so only
             # the identities constrain the value
             values = sorted(set(c), key=order.key)
@@ -437,8 +334,6 @@ def _general_evaluator(gadget, order, levels, f_elem, f_zig, m):
                 return (values[0] if z == "00" else values[1]), "isolated-pair"
             return values[0], "isolated-set"
 
-        lvls = [levels[x] for x in c]
-        lvlset = sorted(set(lvls))
         if len(lvlset) == 1:
             raise LiftInvariantError(
                 f"off-diagonal tuple on one level should be isolated: {c}")
@@ -457,6 +352,29 @@ def _general_evaluator(gadget, order, levels, f_elem, f_zig, m):
         return order.minimum(cand), "multi-level"
 
     return evaluator
+
+
+def _diagonal_value(gadget, order, f_elem, f_zig, m, infos, lam):
+    """Value and case of a diagonal-component tuple of internal vertices
+    on level ``lam``: the matching vertex of the common section inside
+    the target path."""
+    edge = _target_edge(gadget, f_elem, infos)
+    section = _common_section(gadget, infos, lam)
+    tp = gadget.paths[edge]
+    lo, hi = tp.qpath.section_spans[section - 1]
+    if tp.qpath.is_single(section):
+        return tp.vertices[lo if lam == section else hi], "diagonal-single"
+    locs = []
+    for i in infos:
+        sq = gadget.paths[i.edge].qpath
+        if not sq.is_single(section):
+            locs.append(i.position - sq.section_spans[section - 1][0])
+    if len(locs) == m:
+        z = f_zig(*(_ZVERT[p] for p in locs))
+        return tp.vertices[lo + _ZPOS[z]], "diagonal-zigzag"
+    if not locs:
+        raise LiftInvariantError("zigzag target section with no zigzag sources")
+    return order.minimum([tp.vertices[lo + p] for p in locs]), "diagonal-mixed"
 
 
 # ---------------------------------------------------------------------

@@ -28,7 +28,9 @@ from .structures import (
     InvalidStructureError,
     LevelAssignment,
     RelationalStructure,
+    UnionFind,
     collapse_to_single_relation,
+    path_edges,
 )
 
 
@@ -46,9 +48,6 @@ class FreshNames:
         self._prefix = prefix
         self._n = start
 
-    def reserve(self, names):
-        self._taken.update(names)
-
     def next(self):
         while True:
             cand = f"{self._prefix}{self._n}"
@@ -56,32 +55,6 @@ class FreshNames:
             if cand not in self._taken:
                 self._taken.add(cand)
                 return cand
-
-
-class UnionFind:
-    """Plain union-find over hashable keys with path compression."""
-
-    def __init__(self):
-        self._parent = {}
-
-    def add(self, x):
-        if x not in self._parent:
-            self._parent[x] = x
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[ry] = rx
-        return rx
 
 
 # ---------------------------------------------------------------------
@@ -175,11 +148,7 @@ def forward_translate(instance, template):
         names.extend(fresh.next() for _ in range(qpath.last_position - 1))
         names.append(top)
         vertices.extend(names[1:-1])
-        for j, d in enumerate(qpath.spec.word):
-            if d > 0:
-                edges.append((names[j], names[j + 1]))
-            else:
-                edges.append((names[j + 1], names[j]))
+        edges.extend(path_edges(qpath.spec.word, names))
 
     rel_order = [r.name for r in template.relations]
     constrained = set()
@@ -285,7 +254,7 @@ def forced_positions(g, comp, k, budget=DEFAULT_BUDGET):
     full = set(range(1, k + 1))
     for i in range(1, k + 1):
         qp = build_path(full - {i}, k)
-        target = qp.realize(prefix="q")
+        target = qp.spec.realize(prefix="q")
         pins = {}
         for c in comp.base_adjacent:
             pins[c] = "q1"

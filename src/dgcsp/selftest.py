@@ -17,7 +17,7 @@ from .algebra import (check_identities, commutative_idempotent_binary_system,
                       endomorphisms, find_interpretations, find_wnu, is_core,
                       majority_system, maltsev_system,
                       three_permutability_system, zigzag_operations)
-from .gadget import build_gadget, build_path, count_formula, path_hom_exists
+from .gadget import build_gadget, build_path, count_formula, path_position_map
 from .lifting import (UnliftableSystemError, in_diagonal_component,
                       lift_general, lift_wnu, polymorphism_failure_on_digraph,
                       verify_lifted_system)
@@ -149,14 +149,14 @@ def criterion_2(seed=42):
                        for c in itertools.combinations(coords, r)]
             for I in subsets:
                 src = build_path(I, k)
-                sg = src.realize(prefix="s")
+                sg = src.spec.realize(prefix="s")
                 for J in subsets:
                     dst = build_path(J, k)
                     expected = I <= J
-                    got, _ = path_hom_exists(src, dst)
+                    got = path_position_map(src, dst) is not None
                     if got != expected:
                         return False, f"k={k}, I={set(I)}, J={set(J)}: {got}"
-                    dg = dst.realize(prefix="d")
+                    dg = dst.spec.realize(prefix="d")
                     pins = {sg.vertices[0]: dg.vertices[0],
                             sg.vertices[-1]: dg.vertices[-1]}
                     via_solver = digraph_hom(sg, dg, pins=pins) is not None
@@ -366,6 +366,24 @@ def criterion_9(seed=42):
     return _run(9, "general-lift", check)
 
 
+def diagonal_component_pairs(g):
+    """Pairs of vertices in the weak component of the diagonal of the
+    digraph's square, found by breadth-first search."""
+    diag = {(v, v) for v in g.vertices}
+    frontier = list(diag)
+    while frontier:
+        u, v = frontier.pop()
+        steps = [p for a in g.out_neighbors(u)
+                 for b in g.out_neighbors(v) for p in [(a, b)]]
+        steps += [p for a in g.in_neighbors(u)
+                  for b in g.in_neighbors(v) for p in [(a, b)]]
+        for p in steps:
+            if p not in diag:
+                diag.add(p)
+                frontier.append(p)
+    return diag
+
+
 def criterion_10(seed=42):
     """The diagonal-component test agrees with breadth-first search on
     the squared gadget."""
@@ -373,18 +391,7 @@ def criterion_10(seed=42):
         for t in (two_cycle(), one_element()):
             gad = build_gadget(collapse_to_single_relation(t).structure)
             g = gad.digraph
-            diag = {(v, v) for v in g.vertices}
-            frontier = list(diag)
-            while frontier:
-                u, v = frontier.pop()
-                steps = [p for a in g.out_neighbors(u)
-                         for b in g.out_neighbors(v) for p in [(a, b)]]
-                steps += [p for a in g.in_neighbors(u)
-                          for b in g.in_neighbors(v) for p in [(a, b)]]
-                for p in steps:
-                    if p not in diag:
-                        diag.add(p)
-                        frontier.append(p)
+            diag = diagonal_component_pairs(g)
             for pair in itertools.product(g.vertices, repeat=2):
                 direct = in_diagonal_component(gad, pair)
                 if direct != (pair in diag):

@@ -280,18 +280,6 @@ def find_homomorphism(source, target, pins=None, domains=None,
     return HomInstance(source, target, pins=pins, domains=domains).solve(budget)
 
 
-def count_homomorphisms(source, target, pins=None, domains=None,
-                        budget=DEFAULT_BUDGET):
-    inst = HomInstance(source, target, pins=pins, domains=domains)
-    return len(inst.solve_all(budget=budget))
-
-
-def enumerate_homomorphisms(source, target, pins=None, domains=None,
-                            budget=DEFAULT_BUDGET, limit=None):
-    inst = HomInstance(source, target, pins=pins, domains=domains)
-    return inst.solve_all(budget=budget, limit=limit)
-
-
 def digraph_hom(g, h, pins=None, domains=None, budget=DEFAULT_BUDGET):
     """First digraph homomorphism g -> h, or None."""
     return find_homomorphism(g.as_structure(), h.as_structure(),

@@ -1,4 +1,4 @@
-"""Relational structures, digraphs and oriented paths.
+"""Relational structures, digraphs, oriented paths and a union-find.
 
 Everything downstream works over two kinds of objects: finite relational
 structures (a domain plus named relations of fixed arity) and finite
@@ -25,6 +25,32 @@ class EmptyRelationError(InvalidStructureError):
 
 class SizeGuardError(ValueError):
     """Raised when a construction would exceed a configured size bound."""
+
+
+class UnionFind:
+    """Plain union-find over hashable keys with path compression."""
+
+    def __init__(self):
+        self._parent = {}
+
+    def add(self, x):
+        if x not in self._parent:
+            self._parent[x] = x
+
+    def find(self, x):
+        self.add(x)
+        root = x
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[x] != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self._parent[ry] = rx
+        return rx
 
 
 @dataclass(frozen=True)
@@ -108,9 +134,6 @@ class RelationalStructure:
     def is_single_relation(self):
         return len(self.relations) == 1
 
-    def size(self):
-        return len(self.domain)
-
     def __eq__(self, other):
         if not isinstance(other, RelationalStructure):
             return NotImplemented
@@ -156,6 +179,8 @@ class RelationalStructure:
         except (KeyError, TypeError):
             raise InvalidStructureError(
                 "structure file needs 'domain' and 'relations' keys") from None
+        if not isinstance(domain, list):
+            raise InvalidStructureError("'domain' must be a list")
         if not isinstance(relations, list) or not relations:
             raise EmptyRelationError("structure has no relations")
         rels = []
@@ -165,6 +190,9 @@ class RelationalStructure:
             except (KeyError, TypeError):
                 raise InvalidStructureError(
                     "each relation needs 'name', 'arity' and 'tuples'") from None
+            if not isinstance(arity, int) or isinstance(arity, bool):
+                raise InvalidStructureError(
+                    f"relation {name!r}: 'arity' must be an integer")
             if not tuples:
                 raise EmptyRelationError(f"relation {name!r} has no tuples")
             rels.append((name, arity, [tuple(t) for t in tuples]))
@@ -352,22 +380,6 @@ class OrientedPathSpec:
         if any(d not in (FORWARD, BACKWARD) for d in self.word):
             raise InvalidStructureError("path word entries must be +1 or -1")
 
-    @classmethod
-    def single_edge(cls):
-        return cls((FORWARD,))
-
-    @classmethod
-    def zigzag(cls):
-        return cls((FORWARD, BACKWARD, FORWARD))
-
-    def __add__(self, other):
-        """Concatenation: the terminal vertex is identified with the
-        other path's initial vertex."""
-        return OrientedPathSpec(self.word + other.word)
-
-    def __len__(self):
-        return len(self.word)
-
     @property
     def last_position(self):
         return len(self.word)
@@ -379,11 +391,6 @@ class OrientedPathSpec:
         low = min(lvls)
         return tuple(x - low for x in lvls)
 
-    @property
-    def height(self):
-        lvls = self.levels()
-        return max(lvls)
-
     def realize(self, names=None, prefix="p"):
         """Build the path as a digraph with vertices prefix0..prefixL."""
         n = len(self.word) + 1
@@ -394,13 +401,15 @@ class OrientedPathSpec:
             if len(names) != n:
                 raise InvalidStructureError(
                     f"expected {n} vertex names, got {len(names)}")
-        edges = []
-        for i, d in enumerate(self.word):
-            if d == FORWARD:
-                edges.append((names[i], names[i + 1]))
-            else:
-                edges.append((names[i + 1], names[i]))
-        return Digraph(names, edges)
+        return Digraph(names, path_edges(self.word, names))
+
+
+def path_edges(word, names):
+    """Edges of the oriented path with direction word ``word`` whose
+    positions 0..len(word) are named by ``names``."""
+    return [(names[i], names[i + 1]) if d == FORWARD
+            else (names[i + 1], names[i])
+            for i, d in enumerate(word)]
 
 
 @dataclass(frozen=True)
@@ -456,29 +465,6 @@ def collapse_to_single_relation(structure, relation_name="R"):
 def tuple_name(names):
     """Render a tuple of element names as a single element name."""
     return "(" + ",".join(names) + ")"
-
-
-def product_structure(structure, power, max_elements=200000):
-    """The direct power of a structure.
-
-    Elements are tuples of the original elements (rendered with
-    :func:`tuple_name`); a relation holds on a tuple of product elements
-    iff it holds coordinatewise.
-    """
-    n = len(structure.domain) ** power
-    if n > max_elements:
-        raise SizeGuardError(
-            f"product would have {n} elements (bound {max_elements})")
-    elems = [tuple_name(c) for c in itertools.product(structure.domain, repeat=power)]
-    rels = []
-    for r in structure.relations:
-        tuples = []
-        for combo in itertools.product(r.tuples, repeat=power):
-            # combo[i] is the i-th coordinate's tuple; transpose it
-            tuples.append(tuple(tuple_name([combo[i][j] for i in range(power)])
-                                for j in range(r.arity)))
-        rels.append((r.name, r.arity, tuples))
-    return RelationalStructure(elems, rels)
 
 
 def product_digraph(g, power, max_vertices=200000):

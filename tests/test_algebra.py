@@ -3,10 +3,9 @@ import pytest
 from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
                            check_identities,
                            commutative_idempotent_binary_system, core_of,
-                           edge_system, endomorphisms, find_interpretations,
-                           find_polymorphism, find_wnu, is_core,
-                           majority_system, maltsev_system,
-                           three_permutability_system, wnu_report, wnu_system,
+                           endomorphisms, find_interpretations, find_wnu,
+                           is_core, majority_system, maltsev_system,
+                           three_permutability_system, wnu_system,
                            zigzag_operations)
 from dgcsp.structures import RelationalStructure
 from dgcsp.templates import (leq_template, parity_template, two_cycle,
@@ -85,7 +84,6 @@ def test_canned_systems_mark_idempotence():
                  three_permutability_system(),
                  commutative_idempotent_binary_system()):
         assert sys_.idempotent == frozenset(sys_.symbols)
-    assert edge_system(2).symbols == {"e": 3}
     with pytest.raises(ValueError):
         wnu_system(2)
 
@@ -111,16 +109,20 @@ def test_affine_cycle_has_maltsev_and_wnu():
 
 def test_triangle_has_no_small_wnu():
     """The 3-coloring template: no weak near-unanimity at any arity; the
-    bounded probe rules out 3 and 4."""
+    search rules out 3 and 4."""
     k3 = RelationalStructure(
         ["0", "1", "2"],
         [("E", 2, [(a, b) for a in "012" for b in "012" if a != b])])
-    assert wnu_report(k3, 4) == {3: False, 4: False}
+    assert find_wnu(k3, 3) is None
+    assert find_wnu(k3, 4) is None
 
 
-def test_find_polymorphism_any_arity():
-    t = find_polymorphism(two_cycle(), 2)
-    assert t is not None and t.arity == 2
+def test_find_interpretations_without_identities():
+    """An empty system asks for any polymorphism of the given arity."""
+    out = find_interpretations(two_cycle(), IdentitySystem({"f": 2}, []))
+    assert out is not None
+    t = out["f"]
+    assert t.arity == 2
     assert t.is_polymorphism(two_cycle())
 
 

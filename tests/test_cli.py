@@ -144,6 +144,19 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "budget of 3 nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [
+    {"domain": ["0", "1"],
+     "relations": [{"name": "E", "arity": "2", "tuples": [["0", "1"]]}]},
+    {"domain": "ab",
+     "relations": [{"name": "E", "arity": 1, "tuples": [["a"]]}]},
+], ids=["string-arity", "string-domain"])
+def test_mistyped_structure_is_a_usage_error(tmp_path, capsys, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    assert main(["build", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["build", "/nonexistent/t.json"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 import pytest
 
 from dgcsp.gadget import (GadgetDigraph, build_gadget, build_path,
-                          count_formula, elem_name, path_hom_exists,
-                          path_position_map, tup_name)
+                          count_formula, elem_name, path_position_map,
+                          tup_name)
 from dgcsp.structures import InvalidStructureError, SizeGuardError
 from dgcsp.templates import one_element, parity_template, two_cycle
 
@@ -34,11 +34,10 @@ def test_path_rejects_bad_coordinates():
 def test_path_embedding_iff_subset():
     a = build_path({1}, 2)
     b = build_path({1, 2}, 2)
-    ok, pm = path_hom_exists(a, b)
-    assert ok
+    pm = path_position_map(a, b)
+    assert pm is not None
     assert pm[0] == 0 and pm[-1] == b.last_position
-    back, _ = path_hom_exists(b, a)
-    assert not back
+    assert path_position_map(b, a) is None
 
 
 def test_position_map_folds_zigzag_onto_single_edge():

@@ -1,15 +1,21 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcsp.algebra import (IdentitySystem, commutative_idempotent_binary_system,
                            find_interpretations, find_wnu, majority_system,
                            maltsev_system, three_permutability_system,
-                           zigzag_operations)
+                           wnu_system, zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name, tup_name
 from dgcsp.lifting import (LiftInvariantError, UnliftableSystemError,
                            in_diagonal_component, lift_endomorphism,
                            lift_general, lift_wnu,
                            polymorphism_failure_on_digraph,
                            verify_lifted_system)
+from dgcsp.selftest import diagonal_component_pairs
+from dgcsp.structures import RelationalStructure
 from dgcsp.templates import leq_template, one_element, two_cycle
 
 
@@ -196,3 +202,64 @@ def test_interps_must_satisfy_the_system(gad):
     proj = OperationTable.from_function(["0", "1"], 3, lambda x, y, z: x)
     with pytest.raises(UnliftableSystemError):
         lift_general(gad, system, {"maj": proj})
+
+
+# -- property: lifts of random templates verify -------------------------
+
+
+@st.composite
+def small_templates(draw):
+    """A single-relation template on two elements: arity 1-2, 1-4 tuples."""
+    k = draw(st.integers(1, 2))
+    universe = list(itertools.product("01", repeat=k))
+    tuples = draw(st.lists(st.sampled_from(universe), min_size=1,
+                           max_size=min(4, len(universe)), unique=True))
+    return RelationalStructure(["0", "1"], [("R", k, tuples)])
+
+
+LIFT_SYSTEMS = (wnu_system(3), majority_system(),
+                commutative_idempotent_binary_system())
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(small_templates())
+def test_lifts_of_random_templates_verify(template):
+    """Whenever search finds interpretations and the lift accepts them,
+    the lifted family passes the exhaustive check; a weak near-unanimity
+    lifts to the same operation through either entry point."""
+    gadget = build_gadget(template)
+    for system in LIFT_SYSTEMS:
+        interp = find_interpretations(template, system)
+        if interp is None:
+            continue
+        try:
+            lifted = lift_general(gadget, system, interp)
+        except UnliftableSystemError:
+            continue
+        ok, why = verify_lifted_system(gadget, lifted, system)
+        assert ok, (system, why)
+        if "w" in interp:
+            w = lift_wnu(gadget, interp["w"])
+            for c in itertools.product(gadget.digraph.vertices, repeat=3):
+                assert w(*c) == lifted["w"](*c), c
+
+
+@st.composite
+def gadget_templates(draw):
+    """A single-relation template: 1-3 elements, arity 1-2."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    universe = list(itertools.product(range(n), repeat=k))
+    tuples = draw(st.lists(st.sampled_from(universe), min_size=1,
+                           unique=True))
+    return RelationalStructure(range(n), [("R", k, tuples)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(gadget_templates())
+def test_diagonal_component_matches_search(template):
+    gadget = build_gadget(template)
+    g = gadget.digraph
+    diag = diagonal_component_pairs(g)
+    for pair in itertools.product(g.vertices, repeat=2):
+        assert in_diagonal_component(gadget, pair) == (pair in diag), pair

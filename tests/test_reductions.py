@@ -115,7 +115,7 @@ def test_backward_gadget_maps_to_itself():
 def standins_digraph():
     """A zigzag spine up the whole height, plus a separate straight run
     through the interior that only touches the rest at a top vertex."""
-    spine = build_path(frozenset(), 4).realize(prefix="z")
+    spine = build_path(frozenset(), 4).spec.realize(prefix="z")
     cvs = [f"c{i}" for i in range(1, 6)]
     verts = list(spine.vertices) + cvs
     edges = list(spine.edges) + [(cvs[i], cvs[i + 1]) for i in range(4)]
