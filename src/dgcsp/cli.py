@@ -7,7 +7,8 @@ question back to an instance question), plus ``solve``, ``poly``,
 inputs and seed give byte-identical bytes.
 
 Exit codes: 0 success, 1 a requested decision came back negative,
-2 usage or input error, 3 solver budget exhausted.
+2 usage or input error, 3 solver budget exhausted, 4 internal error (a
+broken invariant of the program, never a negative answer).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from . import templates
 from .algebra import (IdentityParseError, IdentitySystem, core_of,
                       find_interpretations, wnu_system)
 from .gadget import build_gadget
-from .lifting import UnliftableSystemError, lift_general, verify_lifted_system
+from .lifting import (LiftInvariantError, UnliftableSystemError,
+                      lift_general, verify_lifted_system)
 from .reductions import (Definite, amalgamate, backward_reduce,
                          forward_translate, stage3a_from_json,
                          stage3a_to_json)
@@ -340,6 +342,9 @@ def main(argv=None):
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (LiftInvariantError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ Backward direction: an arbitrary digraph G is reduced against D(A) in
 stages.  Stage 1 rejects digraphs that are not balanced or are taller
 than the gadget.  Stage 2 solves components shorter than the gadget
 outright and drops them.  Stage 3 looks at each remaining component's
-interior pieces: for each piece, the set of coordinates it blocks is
-computed with the solver, and those blocked coordinates are compiled
-into generalized hyperedges plus forced equalities, which are then
-amalgamated into an instance B over A's collapsed signature with
+interior pieces: the set of coordinates a piece blocks is computed with
+the solver once per distinct pinned piece shape (pieces of a forward
+digraph repeat a handful of shapes), and those blocked coordinates are
+compiled into generalized hyperedges plus forced equalities, which are
+then amalgamated into an instance B over A's collapsed signature with
 G -> D(A) iff B -> A.
 """
 
@@ -265,6 +266,21 @@ def forced_positions(g, comp, k, budget=DEFAULT_BUDGET):
     return frozenset(blocked)
 
 
+def piece_shape(g, comp):
+    """The piece with its vertices renamed by position: edges, then the
+    base- and top-adjacent positions, then the vertex count.
+
+    Two pieces of equal shape give :func:`forced_positions` the same
+    pinned instances up to renaming, variables in the same order, so
+    they block the same coordinates and cost the same search nodes.
+    """
+    pos = {v: i for i, v in enumerate(comp.vertices)}
+    edges = sorted((pos[u], pos[w]) for u in comp.vertices
+                   for w in g.out_neighbors(u) if w in pos)
+    return (tuple(edges), tuple(pos[v] for v in comp.base_adjacent),
+            tuple(pos[v] for v in comp.top_adjacent), len(pos))
+
+
 # ---------------------------------------------------------------------
 # backward reduction: hyperedge extraction and amalgamation
 
@@ -310,13 +326,23 @@ def extract_hyperedges(level_n, level_0, comps, k, fresh=None):
             standins[ci] = fresh.next()
         return standins[ci]
 
+    # pieces by top, and topless pieces by base, in piece order
+    by_top, topless_by_base = {}, {}
+    for ci, comp in enumerate(comps):
+        for e in comp.tops:
+            by_top.setdefault(e, []).append(ci)
+        if not comp.tops:
+            for b in comp.bases:
+                topless_by_base.setdefault(b, []).append(comp)
+
     hyperedges = []
     for e in level_n:
         entries = []
         for i in range(1, k + 1):
             entry = set()
-            for ci, comp in enumerate(comps):
-                if e in comp.tops and i in comp.gamma:
+            for ci in by_top.get(e, ()):
+                comp = comps[ci]
+                if i in comp.gamma:
                     if comp.bases:
                         entry.update(comp.bases)
                     else:
@@ -327,9 +353,7 @@ def extract_hyperedges(level_n, level_0, comps, k, fresh=None):
         hyperedges.append(GeneralizedHyperedge(tuple(entries), label=e))
 
     for b in level_0:
-        for comp in comps:
-            if comp.tops or b not in comp.bases:
-                continue
+        for comp in topless_by_base.get(b, ()):
             entries = []
             for i in range(1, k + 1):
                 if i in comp.gamma:
@@ -509,7 +533,8 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
         return Definite(False, f"{levels.reason}: {levels.detail}")
 
     kept = []
-    for comp in g.weak_components():
+    components = g.weak_components()
+    for comp in components:
         h = max(levels[v] for v in comp)
         if h < n:
             sub = g.induced(comp)
@@ -522,12 +547,19 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     if not kept:
         return Definite(True, "every component is short and embeddable")
 
-    keep = [v for comp in kept for v in comp]
-    g2 = g.induced(keep)
+    if len(kept) == len(components):
+        g2 = g
+    else:
+        g2 = g.induced([v for comp in kept for v in comp])
 
-    comps = internal_components(g2, levels, n)
-    comps = [dataclasses.replace(c, gamma=forced_positions(g2, c, k, budget))
-             for c in comps]
+    # pieces of equal shape have equal blocked coordinates: solve once
+    gammas = {}
+    comps = []
+    for c in internal_components(g2, levels, n):
+        key = piece_shape(g2, c)
+        if key not in gammas:
+            gammas[key] = forced_positions(g2, c, k, budget)
+        comps.append(dataclasses.replace(c, gamma=gammas[key]))
     level_n = [v for v in g2.vertices if levels[v] == n]
     level_0 = [v for v in g2.vertices if levels[v] == 0]
     hyperedges, equalities = extract_hyperedges(level_n, level_0, comps, k)

@@ -268,9 +268,11 @@ class Digraph:
         return f"Digraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
     def induced(self, vertices):
-        keep = set(vertices)
-        vs = tuple(v for v in self.vertices if v in keep)
-        es = [e for e in self.edges if e[0] in keep and e[1] in keep]
+        """Subgraph on the given vertices, keeping vertex order; built
+        from the adjacency lists, so it costs their degrees, not |E|."""
+        keep = {v for v in vertices if v in self._index}
+        vs = sorted(keep, key=self._index.__getitem__)
+        es = [(u, w) for u in vs for w in self._out[u] if w in keep]
         return Digraph(vs, es)
 
     def weak_components(self):
@@ -317,7 +319,15 @@ class Digraph:
         except (KeyError, TypeError):
             raise InvalidStructureError(
                 "digraph file needs 'vertices' and 'edges' keys") from None
-        return cls(vertices, [tuple(e) for e in edges])
+        if not isinstance(vertices, list):
+            raise InvalidStructureError("'vertices' must be a list")
+        if not isinstance(edges, list):
+            raise InvalidStructureError("'edges' must be a list")
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2:
+                raise InvalidStructureError(
+                    f"edge {e!r} must be a list of two vertices")
+        return cls(vertices, edges)
 
     def to_json(self):
         return {"vertices": list(self.vertices),
@@ -465,17 +475,3 @@ def collapse_to_single_relation(structure, relation_name="R"):
 def tuple_name(names):
     """Render a tuple of element names as a single element name."""
     return "(" + ",".join(names) + ")"
-
-
-def product_digraph(g, power, max_vertices=200000):
-    """The direct power of a digraph (edges hold coordinatewise)."""
-    n = len(g.vertices) ** power
-    if n > max_vertices:
-        raise SizeGuardError(
-            f"product would have {n} vertices (bound {max_vertices})")
-    verts = [tuple_name(c) for c in itertools.product(g.vertices, repeat=power)]
-    edges = []
-    for combo in itertools.product(g.edges, repeat=power):
-        edges.append((tuple_name([e[0] for e in combo]),
-                      tuple_name([e[1] for e in combo])))
-    return Digraph(verts, edges)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dgcsp import cli, reductions
 from dgcsp.cli import main
+from dgcsp.lifting import LiftInvariantError
 from dgcsp.templates import two_cycle
 
 
@@ -155,6 +157,45 @@ def test_mistyped_structure_is_a_usage_error(tmp_path, capsys, obj):
     assert main(["build", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("obj", [
+    {"vertices": "ab", "edges": [["a", "b"]]},
+    {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+    {"vertices": ["a", "b"], "edges": ["ab"]},
+], ids=["string-vertices", "three-vertex-edge", "string-edge"])
+def test_mistyped_digraph_is_a_usage_error(tmp_path, capsys, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    assert main(["backward", "2cycle", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_lift_invariant_failure_exits_4(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise LiftInvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, "lift_general", broken)
+    assert main(["lift", "2cycle", "--wnu", "3"]) == 4
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
+def test_assertion_in_the_backward_reduction_exits_4(tmp_path, monkeypatch,
+                                                     capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("interior piece with neither bases nor tops")
+
+    monkeypatch.setattr(reductions, "internal_components", broken)
+    path = write_json(tmp_path, "path.json", {
+        "vertices": [f"v{i}" for i in range(5)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(4)]})
+    assert main(["backward", "2cycle", "--input", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: interior piece with neither "
+                            "bases nor tops\n")
 
 
 def test_missing_file_is_a_usage_error(capsys):

@@ -1,11 +1,18 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgcsp import reductions
 from dgcsp.gadget import build_gadget, build_path
 from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
-                              amalgamate, backward_reduce, forward_translate,
-                              materialize, stage3a_from_json, stage3a_to_json,
+                              amalgamate, backward_reduce, forced_positions,
+                              forward_translate, materialize, piece_shape,
+                              stage3a_from_json, stage3a_to_json,
                               trivial_instance)
-from dgcsp.solver import digraph_hom_exists, find_homomorphism
+from dgcsp.solver import (BudgetExhausted, digraph_hom, digraph_hom_exists,
+                          find_homomorphism)
 from dgcsp.structures import (Digraph, RelationalStructure,
                               collapse_to_single_relation)
 from dgcsp.templates import parity_template, two_cycle
@@ -142,7 +149,6 @@ def test_backward_shares_one_standin_per_component(extra, expect):
 
 
 def test_backward_random_agreement():
-    import itertools
     import random
     rng = random.Random(9)
     t = two_cycle()
@@ -159,6 +165,117 @@ def test_backward_random_agreement():
         got = out.answer if isinstance(out, Definite) \
             else solved(out.instance, t)
         assert got == direct
+
+
+@st.composite
+def templates_and_digraphs(draw):
+    """A single-relation template (1-3 elements, arity 1-2, 1-3 tuples)
+    and the forward digraph of a random instance over it, kept as is,
+    with one edge removed, or with two level-0 vertices merged."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    universe = list(itertools.product(range(n), repeat=k))
+    tuples = draw(st.lists(st.sampled_from(universe), min_size=1,
+                           max_size=3, unique=True))
+    template = RelationalStructure(range(n), [("R", k, tuples)])
+    m = draw(st.integers(1, 4))
+    scopes = draw(st.lists(
+        st.tuples(*[st.sampled_from(range(m))] * k), max_size=6))
+    instance = RelationalStructure(
+        [f"y{i}" for i in range(m)],
+        [("R", k, [tuple(f"y{i}" for i in s) for s in scopes])])
+    g = forward_translate(instance, template).digraph
+    change = draw(st.sampled_from(("none", "drop", "merge")))
+    if change == "drop":
+        dropped = draw(st.sampled_from(g.edges))
+        g = Digraph(g.vertices, [e for e in g.edges if e != dropped])
+    elif change == "merge" and m > 1:
+        a, b = draw(st.lists(st.sampled_from(instance.domain), min_size=2,
+                             max_size=2, unique=True))
+        rename = {b: a}
+        g = Digraph([v for v in g.vertices if v != b],
+                    [(rename.get(u, u), rename.get(w, w))
+                     for u, w in g.edges])
+    return template, g
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(templates_and_digraphs())
+def test_backward_matches_direct_search(case):
+    """The backward reduction answers "G -> D(A)?" as a direct search
+    into the gadget does, on forward digraphs and near misses of them;
+    the dropped edges leave topless pieces."""
+    template, g = case
+    direct = digraph_hom(g, build_gadget(template).digraph) is not None
+    out = backward_reduce(g, template)
+    if isinstance(out, Definite):
+        got = out.answer
+    else:
+        got = find_homomorphism(out.instance,
+                                out.collapsed.structure) is not None
+        # one unlabelled hyperedge per base of each topless piece
+        unlabelled = [h for h in out.hyperedges if h.label is None]
+        assert len(unlabelled) == sum(len(c.bases) for c in out.components
+                                      if not c.tops)
+    assert got == direct
+
+
+# -- one solve per piece shape -----------------------------------------
+
+
+def spine_with(extra_vertices, extra_edges):
+    """A zigzag spine up the whole height of the 2-cycle gadget (levels
+    0-4, from z0 to z8) plus more vertices and edges."""
+    spine = build_path(frozenset(), 2).spec.realize(prefix="z")
+    return Digraph(list(spine.vertices) + list(extra_vertices),
+                   list(spine.edges) + list(extra_edges))
+
+
+def test_equal_edges_with_other_pins_get_their_own_gamma():
+    """a1 -> a2 -> a3 hangs from a base and c1 -> c2 -> c3 from a top:
+    one edge shape, pinned at opposite ends, blocking other
+    coordinates."""
+    g = spine_with(["a1", "a2", "a3", "c1", "c2", "c3"],
+                   [("z0", "a1"), ("a1", "a2"), ("a2", "a3"),
+                    ("c1", "c2"), ("c2", "c3"), ("c3", "z8")])
+    out = backward_reduce(g, two_cycle())
+    by_first = {c.vertices[0]: c for c in out.components}
+    a, c = by_first["a1"], by_first["c1"]
+    assert piece_shape(g, a)[0] == piece_shape(g, c)[0]
+    assert a.gamma == forced_positions(g, a, 2) == frozenset({1})
+    assert c.gamma == forced_positions(g, c, 2) == frozenset({2})
+
+
+def test_forced_positions_runs_once_per_piece_shape(monkeypatch):
+    calls = []
+
+    def counted(g, comp, k, budget):
+        calls.append(piece_shape(g, comp))
+        return forced_positions(g, comp, k, budget)
+
+    monkeypatch.setattr(reductions, "forced_positions", counted)
+    inst = RelationalStructure(
+        [f"y{i}" for i in range(6)],
+        [("E", 2, [(f"y{i}", f"y{(i + 1) % 6}") for i in range(6)]
+          + [("y0", "y3")])])
+    g = forward_translate(inst, two_cycle()).digraph
+    out = backward_reduce(g, two_cycle())
+    shapes = {piece_shape(g, c) for c in out.components}
+    assert sorted(calls) == sorted(shapes)
+    assert len(calls) < len(out.components)
+    for c in out.components:
+        assert c.gamma == forced_positions(g, c, 2)
+
+
+def test_budget_exhaustion_in_a_piece_propagates():
+    """a3 may sit at either end of the zigzag's first valley, so the
+    piece needs a search node; the component reaches the top, so no
+    short-component search runs first."""
+    g = spine_with(["a1", "a2", "a3"],
+                   [("z0", "a1"), ("a1", "a2"), ("a3", "a2")])
+    with pytest.raises(BudgetExhausted):
+        backward_reduce(g, two_cycle(), budget=0)
+    assert isinstance(backward_reduce(g, two_cycle(), budget=1), Reduced)
 
 
 # -- stage 3A files and amalgamation ----------------------------------

@@ -1,11 +1,12 @@
+import random
+
 import pytest
 
 from dgcsp.reductions import LevelingFailure, compute_levels
 from dgcsp.structures import (Digraph, EmptyRelationError,
                               InvalidStructureError, OrientedPathSpec,
                               RelationalStructure,
-                              collapse_to_single_relation, digraph_to_dot,
-                              product_digraph, tuple_name)
+                              collapse_to_single_relation, digraph_to_dot)
 from dgcsp.templates import leq_template, two_cycle
 
 
@@ -114,11 +115,20 @@ def test_oriented_path_spec_levels_and_realize():
     assert set(g.edges) == {("v0", "v1"), ("v2", "v1"), ("v2", "v3")}
 
 
-def test_product_digraph_squares_edge_count():
-    g = Digraph(["a", "b"], [("a", "b")])
-    sq = product_digraph(g, 2)
-    assert sq.num_vertices() == 4
-    assert sq.edges == ((tuple_name(("a", "a")), tuple_name(("b", "b"))),)
+def test_induced_matches_filtering_every_edge():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        g = Digraph(names, [(u, w) for u in names for w in names
+                            if rng.random() < 0.3])
+        keep = [v for v in names if rng.random() < 0.6] + ["unknown"]
+        rng.shuffle(keep)
+        sub = g.induced(keep)
+        assert sub.vertices == tuple(v for v in g.vertices if v in keep)
+        assert sub.edges == tuple(e for e in g.edges
+                                  if e[0] in keep and e[1] in keep)
 
 
 def test_dot_output_mentions_every_vertex():
