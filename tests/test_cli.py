@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,18 @@ def test_lift_wnu_verify(capsys):
     out = capsys.readouterr().out
     assert "lifted w (arity 3)" in out
     assert "verified" in out
+
+
+def test_lift_output_file_is_pinned(tmp_path, capsys):
+    out_file = tmp_path / "lift.json"
+    assert main(["lift", "2cycle", "--wnu", "3", "--verify",
+                 "--output", str(out_file)]) == 0
+    assert capsys.readouterr().out == \
+        "lifted w (arity 3) to 24 vertices\nverified\n"
+    data = out_file.read_bytes()
+    assert len(data) == 1588555
+    assert hashlib.sha256(data).hexdigest() == \
+        "55cc239ed54c7fe9be75ae0ff8a595dea18e0086db7ad689663bc9b551168d3a"
 
 
 def test_lift_maltsev_rejected(tmp_path, capsys):

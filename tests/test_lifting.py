@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -263,3 +264,70 @@ def test_diagonal_component_matches_search(template):
     diag = diagonal_component_pairs(g)
     for pair in itertools.product(g.vertices, repeat=2):
         assert in_diagonal_component(gadget, pair) == (pair in diag), pair
+
+
+# -- golden tables ----------------------------------------------------
+
+
+def directed_three_cycle():
+    return RelationalStructure(
+        ["0", "1", "2"], [("E", 2, [("0", "1"), ("1", "2"), ("2", "0")])])
+
+
+GOLDEN_TEMPLATES = {"2cycle": two_cycle, "leq": leq_template,
+                    "C3": directed_three_cycle}
+GOLDEN_SYSTEMS = {"wnu3": lambda: wnu_system(3), "majority": majority_system,
+                  "binary": commutative_idempotent_binary_system,
+                  "wnu4": lambda: wnu_system(4)}
+
+# sha256 of every (arguments, symbol, value) line of the full lifted
+# tables, then of the case totals, in vertex order; the symmetric binary
+# system has no interpretation on the 2-cycle
+GOLDEN_DIGESTS = {
+    ("2cycle", "wnu3"):
+        "314fec6a6d0f8ec1412c7de64b0a1c25a4f38f236d030edbae481c5dcead3e8c",
+    ("2cycle", "majority"):
+        "61ba78bec618bfadac270bc0f910807ffc02ad8186fff749fd53829581eda8e7",
+    ("2cycle", "wnu4"):
+        "f4be5cd8148f8d5cf28f8945c76a378bdd6937be46711d094d03aa3e169b92f9",
+    ("leq", "wnu3"):
+        "b4255278ca7f69a705bd5c2f1f892c7917ef0f3af38cd7cb8de7b339b1345f3e",
+    ("leq", "majority"):
+        "a02bcf7d5da32af6b279fb9970585bd3a2351f1ae0c28fdb3080dff871602816",
+    ("leq", "binary"):
+        "f20b6011ae9a4a68cb90f3cb71f9200d2b5fdd06609b85e7f2d5fac6a8fc651b",
+    ("C3", "wnu3"):
+        "4bf9f3fdb34a844ca76806ae847546b4c198abb5f4a9097828bda5a8118b600e",
+    ("C3", "majority"):
+        "b4a10ff8df1577f75984185a1230cb725bdc3517d1444f354e0d0fcc24fab993",
+    ("C3", "binary"):
+        "98437980954a70799a1c236cf9aef9d3e69ed57391c64833c4583bfce48aa2db",
+}
+
+
+def full_table_digest(gadget, lifted):
+    h = hashlib.sha256()
+    for s in sorted(lifted):
+        op = lifted[s]
+        for c in itertools.product(gadget.digraph.vertices, repeat=op.arity):
+            h.update(("\t".join(c + (s, op(*c))) + "\n").encode())
+    for s in sorted(lifted):
+        for case, count in sorted(lifted[s].case_counts.items()):
+            h.update(f"{s}\t{case}\t{count}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("template,system", sorted(GOLDEN_DIGESTS))
+def test_full_lifted_tables_are_pinned(template, system):
+    t = GOLDEN_TEMPLATES[template]()
+    sysm = GOLDEN_SYSTEMS[system]()
+    interp = find_interpretations(t, sysm)
+    gadget = build_gadget(t)
+    lifted = lift_general(gadget, sysm, interp)
+    assert full_table_digest(gadget, lifted) == \
+        GOLDEN_DIGESTS[(template, system)]
+
+
+def test_binary_symmetric_system_has_no_interpretation_on_the_two_cycle():
+    assert find_interpretations(
+        two_cycle(), commutative_idempotent_binary_system()) is None
