@@ -271,6 +271,17 @@ def wnu_system(m, symbol="w"):
     return IdentitySystem({symbol: m}, idents, [symbol])
 
 
+def kkvw_system(sym3="u", sym4="v"):
+    """Bounded width (Kozik, Krokhin, Valeriote and Willard): idempotent
+    weak near-unanimity operations of arities 3 and 4 that agree on
+    one-off arguments, u(y,x,x) = v(y,x,x,x)."""
+    u, v = wnu_system(3, sym3), wnu_system(4, sym4)
+    link = Identity(Term(sym3, ("y", "x", "x")),
+                    Term(sym4, ("y", "x", "x", "x")))
+    return IdentitySystem({sym3: 3, sym4: 4},
+                          u.identities + v.identities + (link,), [sym3, sym4])
+
+
 def majority_system(symbol="maj"):
     x, y = "x", "y"
     t = lambda *args: Term(symbol, args)

@@ -18,10 +18,18 @@ product edge touches only have to satisfy the identities.  Tuples whose
 entries sit on two levels are tied element-major when the zigzag picks
 the lower level and relation-major when it picks the upper one, so the
 choice stays edge-compatible at both ends of the gadget.
+
+Values are computed a row at a time: a row fixes every argument but the
+last and holds the value for each last argument.  Within a row, the
+last arguments on one level share their level pattern, so the case, the
+zigzag's pick and the prefix's least vertex in the tie-breaking order
+are found once per level; only single-level tuples are evaluated one by
+one.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 from .algebra import (_ZPOS, _ZVERT, check_identities, find_interpretations,
@@ -61,8 +69,8 @@ class GadgetOrder:
         first_elem = gadget.template.domain[0]
         a_index = {a: i for i, a in enumerate(gadget.template.domain)}
         r_index = {r: i for i, r in enumerate(gadget.relation.tuples)}
-        self._key = {}
-        self._high_key = {}
+        key = {}
+        high_key = {}
         for v, info in gadget.vertex_info.items():
             if info.kind == "elem":
                 edge = (info.element, first_tuple)
@@ -74,17 +82,16 @@ class GadgetOrder:
                 edge = info.edge
                 pos = info.position
             ai, ri = a_index[edge[0]], r_index[edge[1]]
-            self._key[v] = (info.level, ai, ri, pos)
-            self._high_key[v] = (info.level, ri, ai, pos)
-
-    def key(self, v):
-        return self._key[v]
+            key[v] = (info.level, ai, ri, pos)
+            high_key[v] = (info.level, ri, ai, pos)
+        # rank -> vertex and vertex -> rank, in each order
+        self.by_low = sorted(key, key=key.__getitem__)
+        self.by_high = sorted(high_key, key=high_key.__getitem__)
+        self.low_rank = {v: i for i, v in enumerate(self.by_low)}
+        self.high_rank = {v: i for i, v in enumerate(self.by_high)}
 
     def minimum(self, names):
-        return min(names, key=self._key.__getitem__)
-
-    def minimum_high(self, names):
-        return min(names, key=self._high_key.__getitem__)
+        return self.by_low[min(map(self.low_rank.__getitem__, names))]
 
 
 def in_diagonal_component(gadget, c):
@@ -163,56 +170,47 @@ def lift_endomorphism(gadget, phi):
 
 
 class LiftedOperation:
-    """An operation on the gadget's vertices defined by a case-split
-    evaluator.  Values are memoized; ``case_counts`` tracks which cases
-    fired over the distinct inputs seen."""
+    """An operation on the gadget's vertices, computed and stored a row
+    at a time.
 
-    def __init__(self, gadget, arity, evaluator, name="lift"):
+    A row is keyed by the first ``arity - 1`` arguments and holds one
+    value per last argument, in the order of ``gadget.digraph.vertices``;
+    ``row_evaluator`` maps such a prefix to the row's values and a
+    Counter of the cases that produced them.  ``case_counts`` sums those
+    Counters, so it counts the entries of the rows computed so far, not
+    the distinct inputs seen.
+    """
+
+    def __init__(self, gadget, arity, row_evaluator, name="lift"):
         self.gadget = gadget
         self.arity = arity
         self.name = name
         self.domain = gadget.digraph.vertices
         self.case_counts = Counter()
-        self._evaluator = evaluator
-        self._memo = {}
+        self._row_evaluator = row_evaluator
+        self._index = {v: i for i, v in enumerate(self.domain)}
+        self._rows = {}
 
     def __call__(self, *c):
         if len(c) != self.arity:
             raise TypeError(f"{self.name} takes {self.arity} arguments")
-        hit = self._memo.get(c)
-        if hit is not None:
-            return hit
-        value, case = self._evaluator(c)
-        if value not in self.gadget.vertex_info:
+        prefix = c[:-1]
+        row = self._rows.get(prefix)
+        if row is None:
+            row = self._fill(prefix)
+        return row[self._index[c[-1]]]
+
+    def _fill(self, prefix):
+        values, cases = self._row_evaluator(prefix)
+        known = self.gadget.vertex_info
+        if not known.keys() >= set(values):
+            i = next(i for i, v in enumerate(values) if v not in known)
             raise LiftInvariantError(
-                f"{self.name}{c} produced unknown vertex {value!r}")
-        self.case_counts[case] += 1
-        self._memo[c] = value
-        return value
-
-
-def _target_edge(gadget, op_elem, infos):
-    """Coordinatewise image of the owning element/tuple pairs."""
-    a = op_elem(*(i.edge[0] for i in infos))
-    k = gadget.k
-    r = tuple(op_elem(*(i.edge[1][j] for i in infos)) for j in range(k))
-    if r not in gadget.relation.tuples:
-        raise LiftInvariantError(
-            f"coordinatewise image {r} is not a relation tuple; the "
-            "template operation is not a polymorphism")
-    return (a, r)
-
-
-def _common_section(gadget, infos, level):
-    """First section, among the one or two a level can meet, that all
-    owning paths share."""
-    for l in (level - 1, level):
-        if 1 <= l <= gadget.k and all(
-                l in gadget.paths[i.edge].qpath.sections_at(i.position)
-                for i in infos):
-            return l
-    raise LiftInvariantError(
-        f"no common section at level {level} for {[str(i) for i in infos]}")
+                f"{self.name}{prefix + (self.domain[i],)} produced unknown "
+                f"vertex {values[i]!r}")
+        self.case_counts.update(cases)
+        self._rows[prefix] = values
+        return values
 
 
 def lift_wnu(gadget, table):
@@ -287,89 +285,174 @@ def _lift(gadget, system, interps, zigzag_interps=None, budget=DEFAULT_BUDGET):
                 f"zigzag interpretation of {s} is not a polymorphism: {bad}")
 
     order = GadgetOrder(gadget)
-    g = gadget.digraph
-    no_in = frozenset(v for v in g.vertices if not g.in_neighbors(v))
-    no_out = frozenset(v for v in g.vertices if not g.out_neighbors(v))
+    groups = _last_argument_groups(gadget)
+    records = _section_records(gadget)
     return {s: LiftedOperation(
                 gadget, m,
-                _general_evaluator(gadget, order, no_in, no_out, interps[s],
-                                   zigzag_interps[s], m),
+                _row_evaluator(gadget, order, groups, records, interps[s],
+                               zigzag_interps[s]),
                 name=f"{s}-lift")
             for s, m in system.symbols.items()}
 
 
-def _general_evaluator(gadget, order, no_in, no_out, f_elem, f_zig, m):
+def _last_argument_groups(gadget):
+    """The gadget's vertices as last arguments: grouped by level, then
+    by (has no out-edge, has no in-edge), each as (position, vertex)."""
+    g = gadget.digraph
+    levels = gadget.levels.levels
+    groups = {}
+    for i, y in enumerate(g.vertices):
+        flags = (not g.out_neighbors(y), not g.in_neighbors(y))
+        groups.setdefault(levels[y], {}).setdefault(flags, []).append((i, y))
+    return [(lam, sorted(classes.items()))
+            for lam, classes in sorted(groups.items())]
+
+
+def _row_evaluator(gadget, order, groups, records, f_elem, f_zig):
+    """The row function of one lifted symbol: a prefix (every argument
+    but the last) to the values for every last argument, in vertex
+    order, and a Counter of their cases."""
+    g = gadget.digraph
     levels = gadget.levels.levels
     vertex_info = gadget.vertex_info
+    low_rank, high_rank = order.low_rank, order.high_rank
+    by_low, by_high = order.by_low, order.by_high
+    n = len(g.vertices)
+    zig_low = {}
 
-    def evaluator(c):
-        lvls = [levels[x] for x in c]
-        lvlset = sorted(set(lvls))
-        if len(lvlset) == 1:
-            infos = [vertex_info[x] for x in c]
-            if all(i.kind == "elem" for i in infos):
-                return elem_name(f_elem(*(i.element for i in infos))), "elements"
-            if all(i.kind == "tup" for i in infos):
-                r = tuple(f_elem(*(i.rtuple[j] for i in infos))
-                          for j in range(gadget.k))
-                if r not in gadget.relation.tuples:
-                    raise LiftInvariantError(
-                        f"image tuple {r} leaves the relation")
-                return tup_name(r), "tuples"
-            if in_diagonal_component(gadget, c):
-                # all entries internal at a common level
-                return _diagonal_value(gadget, order, f_elem, f_zig, m,
-                                       infos, lvlset[0])
-
-        if not no_out.isdisjoint(c) and not no_in.isdisjoint(c):
-            # no edge of the product power touches this tuple, so only
-            # the identities constrain the value
-            values = sorted(set(c), key=order.key)
-            if len(values) == 2:
-                bits = ["00" if x == values[0] else "10" for x in c]
-                z = f_zig(*bits)
-                if z not in ("00", "10"):
-                    raise LiftInvariantError(
-                        f"zigzag operation leaves the out-degree side: {z}")
-                return (values[0] if z == "00" else values[1]), "isolated-pair"
-            return values[0], "isolated-set"
-
-        if len(lvlset) == 1:
-            raise LiftInvariantError(
-                f"off-diagonal tuple on one level should be isolated: {c}")
-        if len(lvlset) == 2:
-            bits = ["00" if l == lvlset[0] else "10" for l in lvls]
+    def picks_low(bits):
+        """Whether the zigzag operation picks "00" over "10" on this
+        pattern of the two; cached per pattern."""
+        low = zig_low.get(bits)
+        if low is None:
             z = f_zig(*bits)
             if z not in ("00", "10"):
                 raise LiftInvariantError(
                     f"zigzag operation leaves the out-degree side: {z}")
-            if z == "00":
-                cand = [c[i] for i in range(m) if lvls[i] == lvlset[0]]
-                return order.minimum(cand), "split-low"
-            cand = [c[i] for i in range(m) if lvls[i] == lvlset[1]]
-            return order.minimum_high(cand), "split-high"
-        cand = [c[i] for i in range(m) if lvls[i] == lvlset[0]]
-        return order.minimum(cand), "multi-level"
+            low = zig_low[bits] = z == "00"
+        return low
 
-    return evaluator
+    def single_level(c):
+        infos = [vertex_info[x] for x in c]
+        kinds = {i.kind for i in infos}
+        if kinds == {"elem"}:
+            return elem_name(f_elem(*(i.element for i in infos))), "elements"
+        if kinds == {"tup"}:
+            r = tuple(f_elem(*col) for col in zip(*(i.rtuple for i in infos)))
+            if r not in gadget.relation.tuples:
+                raise LiftInvariantError(f"image tuple {r} leaves the relation")
+            return tup_name(r), "tuples"
+        if kinds == {"path"}:
+            # a single-level tuple that is not isolated is in the
+            # diagonal component: all its entries have out-edges, or all
+            # have in-edges
+            return _diagonal_value(gadget, order, f_elem, f_zig, c,
+                                   [records[x] for x in c], infos[0].level)
+        raise LiftInvariantError(
+            f"off-diagonal tuple on one level should be isolated: {c}")
+
+    def row(prefix):
+        plev = [levels[x] for x in prefix]
+        prefix_levels = set(plev)
+        p_no_out = any(not g.out_neighbors(x) for x in prefix)
+        p_no_in = any(not g.in_neighbors(x) for x in prefix)
+        distinct = set(prefix)
+        dmin = min(map(low_rank.__getitem__, distinct), default=n)
+        low_at, high_at = {}, {}
+        for x, lam in zip(prefix, plev):
+            low_at[lam] = min(low_at.get(lam, n), low_rank[x])
+            high_at[lam] = min(high_at.get(lam, n), high_rank[x])
+        values = [None] * n
+        cases = Counter()
+        for lam, classes in groups:
+            lvlset = sorted(prefix_levels | {lam})
+            if len(lvlset) == 1:
+                case = None
+            elif len(lvlset) == 2 and not picks_low(
+                    tuple("00" if l == lvlset[0] else "10"
+                          for l in plev + [lam])):
+                # relation-major on the upper level
+                case, at = "split-high", lvlset[1]
+                rank, by_rank, const = high_rank, by_high, high_at.get(at, n)
+            else:
+                # element-major on the lowest level
+                case = "split-low" if len(lvlset) == 2 else "multi-level"
+                at = lvlset[0]
+                rank, by_rank, const = low_rank, by_low, low_at.get(at, n)
+            for (y_no_out, y_no_in), entries in classes:
+                if (p_no_out or y_no_out) and (p_no_in or y_no_in):
+                    # no edge of the product power touches these tuples,
+                    # so only the identities constrain their values
+                    for pos, y in entries:
+                        r = low_rank[y]
+                        v0 = by_low[r if r < dmin else dmin]
+                        if len(distinct) + (y not in distinct) != 2:
+                            values[pos] = v0
+                            cases["isolated-set"] += 1
+                            continue
+                        c = prefix + (y,)
+                        if picks_low(tuple("00" if x == v0 else "10"
+                                           for x in c)):
+                            values[pos] = v0
+                        else:
+                            values[pos] = next(x for x in c if x != v0)
+                        cases["isolated-pair"] += 1
+                elif case is None:
+                    for pos, y in entries:
+                        values[pos], c = single_level(prefix + (y,))
+                        cases[c] += 1
+                elif lam == at:
+                    for pos, y in entries:
+                        r = rank[y]
+                        values[pos] = by_rank[r if r < const else const]
+                    cases[case] += len(entries)
+                else:
+                    for pos, _ in entries:
+                        values[pos] = by_rank[const]
+                    cases[case] += len(entries)
+        return values, cases
+
+    return row
 
 
-def _diagonal_value(gadget, order, f_elem, f_zig, m, infos, lam):
-    """Value and case of a diagonal-component tuple of internal vertices
-    on level ``lam``: the matching vertex of the common section inside
-    the target path."""
-    edge = _target_edge(gadget, f_elem, infos)
-    section = _common_section(gadget, infos, lam)
-    tp = gadget.paths[edge]
+def _section_records(gadget):
+    """Per internal vertex of the gadget: its path's element and relation
+    tuple, and for each section containing its position, its offset into
+    that section when the section is a zigzag in its path, else None."""
+    out = {}
+    for v, info in gadget.vertex_info.items():
+        if info.kind == "path":
+            qp = gadget.paths[info.edge].qpath
+            offsets = {l: None if qp.is_single(l)
+                       else info.position - qp.section_spans[l - 1][0]
+                       for l in qp.sections_at(info.position)}
+            out[v] = (info.edge[0], info.edge[1], offsets)
+    return out
+
+
+def _diagonal_value(gadget, order, f_elem, f_zig, c, recs, lam):
+    """Value and case of a diagonal-component tuple ``c`` of internal
+    vertices on level ``lam``, given their section records: the matching
+    vertex of the first common section inside the target path, the path
+    of the coordinatewise images of the entries' element/tuple pairs."""
+    a = f_elem(*(rec[0] for rec in recs))
+    r = tuple(f_elem(*col) for col in zip(*(rec[1] for rec in recs)))
+    if r not in gadget.relation.tuples:
+        raise LiftInvariantError(
+            f"coordinatewise image {r} is not a relation tuple; the "
+            "template operation is not a polymorphism")
+    for section in (lam - 1, lam):
+        if all(section in rec[2] for rec in recs):
+            break
+    else:
+        raise LiftInvariantError(
+            f"no common section at level {lam} for {c}")
+    tp = gadget.paths[(a, r)]
     lo, hi = tp.qpath.section_spans[section - 1]
     if tp.qpath.is_single(section):
         return tp.vertices[lo if lam == section else hi], "diagonal-single"
-    locs = []
-    for i in infos:
-        sq = gadget.paths[i.edge].qpath
-        if not sq.is_single(section):
-            locs.append(i.position - sq.section_spans[section - 1][0])
-    if len(locs) == m:
+    locs = [p for p in (rec[2][section] for rec in recs) if p is not None]
+    if len(locs) == len(c):
         z = f_zig(*(_ZVERT[p] for p in locs))
         return tp.vertices[lo + _ZPOS[z]], "diagonal-zigzag"
     if not locs:
@@ -382,14 +465,23 @@ def _diagonal_value(gadget, order, f_elem, f_zig, m, infos, lam):
 
 
 def polymorphism_failure_on_digraph(g, op):
-    """First tuple of edges this vertex operation breaks, or None."""
-    import itertools
+    """First tuple of edges this vertex operation breaks, with the images
+    of its tails and of its heads, or None.
 
-    for combo in itertools.product(g.edges, repeat=op.arity):
-        tail = op(*(e[0] for e in combo))
-        head = op(*(e[1] for e in combo))
-        if not g.has_edge(tail, head):
-            return combo, (tail, head)
+    Edge tuples are grouped by their tail tuple: the tails' image is
+    computed once, and each tuple of heads, one out-neighbour per tail,
+    must map to one of that image's out-neighbours.  ``op`` is any
+    callable with an ``arity``.
+    """
+    out = {v: g.out_neighbors(v) for v in g.vertices}
+    tails = [v for v in g.vertices if out[v]]
+    for tail in itertools.product(tails, repeat=op.arity):
+        image = op(*tail)
+        allowed = out[image]
+        for head in itertools.product(*map(out.__getitem__, tail)):
+            value = op(*head)
+            if value not in allowed:
+                return tuple(zip(tail, head)), (image, value)
     return None
 
 

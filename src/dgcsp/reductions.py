@@ -73,13 +73,16 @@ def compute_levels(g, max_height=None):
 
     Every edge must go from level l to level l+1; levels are normalized
     to minimum 0 on each weak component.  Returns a
-    :class:`LevelAssignment` or a :class:`LevelingFailure` (when the
-    digraph is not balanced, or exceeds ``max_height``).
+    :class:`LevelAssignment`, with the weak components the leveling
+    walks, or a :class:`LevelingFailure` (when the digraph is not
+    balanced, or exceeds ``max_height``).
     """
     levels = {}
+    components = []
     height = 0
-    for comp in g.weak_components():
-        start = comp[0]
+    for start in g.vertices:
+        if start in levels:
+            continue
         tentative = {start: 0}
         stack = [start]
         while stack:
@@ -106,10 +109,11 @@ def compute_levels(g, max_height=None):
         for v, l in tentative.items():
             levels[v] = l - low
         height = max(height, max(tentative.values()) - low)
+        components.append(sorted(tentative, key=g.index))
     if max_height is not None and height > max_height:
         return LevelingFailure(
             "too tall", f"height {height} exceeds bound {max_height}")
-    return LevelAssignment(levels, height)
+    return LevelAssignment(levels, height, tuple(components))
 
 
 # ---------------------------------------------------------------------
@@ -533,7 +537,7 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
         return Definite(False, f"{levels.reason}: {levels.detail}")
 
     kept = []
-    components = g.weak_components()
+    components = levels.components
     for comp in components:
         h = max(levels[v] for v in comp)
         if h < n:

@@ -193,8 +193,16 @@ class RelationalStructure:
             if not isinstance(arity, int) or isinstance(arity, bool):
                 raise InvalidStructureError(
                     f"relation {name!r}: 'arity' must be an integer")
+            if not isinstance(tuples, list):
+                raise InvalidStructureError(
+                    f"relation {name!r}: 'tuples' must be a list")
             if not tuples:
                 raise EmptyRelationError(f"relation {name!r} has no tuples")
+            for t in tuples:
+                if not isinstance(t, list) or len(t) != arity:
+                    raise InvalidStructureError(
+                        f"relation {name!r}: tuple {t!r} must be a list of "
+                        f"{arity} elements")
             rels.append((name, arity, [tuple(t) for t in tuples]))
         return cls(domain, rels)
 
@@ -339,11 +347,14 @@ class LevelAssignment:
     """A level function on a digraph: every edge climbs by exactly one.
 
     Levels are normalized so each weak component has minimum level 0.
-    ``height`` is the maximum level over the whole digraph.
+    ``height`` is the maximum level over the whole digraph.  When the
+    assignment was computed from a digraph, ``components`` holds its weak
+    components as :meth:`Digraph.weak_components` orders them.
     """
 
     levels: dict = field(compare=False)
     height: int
+    components: tuple = field(default=(), compare=False)
 
     def __getitem__(self, v):
         return self.levels[v]

@@ -4,9 +4,9 @@ from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
                            check_identities,
                            commutative_idempotent_binary_system, core_of,
                            endomorphisms, find_interpretations, find_wnu,
-                           is_core, majority_system, maltsev_system,
-                           three_permutability_system, wnu_system,
-                           zigzag_operations)
+                           is_core, kkvw_system, majority_system,
+                           maltsev_system, three_permutability_system,
+                           wnu_system, zigzag_operations)
 from dgcsp.structures import RelationalStructure
 from dgcsp.templates import (leq_template, parity_template, two_cycle,
                              zigzag_digraph_template)
@@ -82,10 +82,20 @@ def test_check_identities_finds_violation():
 def test_canned_systems_mark_idempotence():
     for sys_ in (wnu_system(4), majority_system(), maltsev_system(),
                  three_permutability_system(),
-                 commutative_idempotent_binary_system()):
+                 commutative_idempotent_binary_system(), kkvw_system()):
         assert sys_.idempotent == frozenset(sys_.symbols)
     with pytest.raises(ValueError):
         wnu_system(2)
+
+
+def test_kkvw_system_round_trips_through_the_file_format():
+    system = kkvw_system()
+    assert system.symbols == {"u": 3, "v": 4}
+    assert len(system.identities) == 6
+    again = IdentitySystem.parse(str(system))
+    assert again.symbols == system.symbols
+    assert again.identities == system.identities
+    assert again.idempotent == system.idempotent
 
 
 # -- indicator search -------------------------------------------------
@@ -105,6 +115,18 @@ def test_affine_cycle_has_maltsev_and_wnu():
     assert find_interpretations(c3, maltsev_system()) is not None
     w = find_wnu(c3, 3)
     assert w is not None and w.is_polymorphism(c3)
+
+
+def test_kkvw_operations_exist_exactly_with_bounded_width():
+    interp = find_interpretations(two_cycle(), kkvw_system())
+    assert interp is not None
+    for x in two_cycle().domain:
+        for y in two_cycle().domain:
+            assert interp["u"](y, x, x) == interp["v"](y, x, x, x)
+    triangle = RelationalStructure(
+        ["0", "1", "2"],
+        [("E", 2, [(a, b) for a in "012" for b in "012" if a != b])])
+    assert find_interpretations(triangle, kkvw_system()) is None
 
 
 def test_triangle_has_no_small_wnu():

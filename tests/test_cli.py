@@ -164,12 +164,28 @@ def test_budget_exit_code(tmp_path, capsys):
      "relations": [{"name": "E", "arity": "2", "tuples": [["0", "1"]]}]},
     {"domain": "ab",
      "relations": [{"name": "E", "arity": 1, "tuples": [["a"]]}]},
-], ids=["string-arity", "string-domain"])
+    {"domain": ["a", "b"],
+     "relations": [{"name": "E", "arity": 2, "tuples": ["ab", "ba"]}]},
+], ids=["string-arity", "string-domain", "string-tuples"])
 def test_mistyped_structure_is_a_usage_error(tmp_path, capsys, obj):
     path = write_json(tmp_path, "bad.json", obj)
     assert main(["build", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_string_tuples_are_not_read_as_pairs(tmp_path, capsys):
+    template = write_json(tmp_path, "t.json", {
+        "domain": ["a", "b"],
+        "relations": [{"name": "E", "arity": 2, "tuples": ["ab", "ba"]}]})
+    edge = write_json(tmp_path, "i.json", {
+        "domain": ["x", "y"],
+        "relations": [{"name": "E", "arity": 2, "tuples": [["x", "y"]]}]})
+    assert main(["solve", template, "--input", edge]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("obj", [

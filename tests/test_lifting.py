@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcsp.algebra import (IdentitySystem, commutative_idempotent_binary_system,
-                           find_interpretations, find_wnu, majority_system,
-                           maltsev_system, three_permutability_system,
-                           wnu_system, zigzag_operations)
+                           find_interpretations, find_wnu, kkvw_system,
+                           majority_system, maltsev_system,
+                           three_permutability_system, wnu_system,
+                           zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name, tup_name
 from dgcsp.lifting import (LiftInvariantError, UnliftableSystemError,
                            in_diagonal_component, lift_endomorphism,
@@ -163,6 +164,18 @@ def test_three_permutability_pair_lifts(gad):
     assert ok, why
 
 
+def test_kkvw_pair_lifts_and_verifies(gad):
+    system = kkvw_system()
+    interp = find_interpretations(two_cycle(), system)
+    lifted = lift_general(gad, system, interp)
+    ok, why = verify_lifted_system(gad, lifted, system)
+    assert ok, why
+    u, v = lifted["u"], lifted["v"]
+    for x in gad.digraph.vertices:
+        for y in gad.digraph.vertices:
+            assert u(y, x, x) == v(y, x, x, x)
+
+
 def test_maltsev_system_is_rejected(gad):
     system = maltsev_system()
     interp = find_interpretations(two_cycle(), system)
@@ -203,6 +216,62 @@ def test_interps_must_satisfy_the_system(gad):
     proj = OperationTable.from_function(["0", "1"], 3, lambda x, y, z: x)
     with pytest.raises(UnliftableSystemError):
         lift_general(gad, system, {"maj": proj})
+
+
+# -- verification of corrupted operations ----------------------------
+
+
+class OneWrongTuple:
+    """A lifted operation with its value at one tuple replaced."""
+
+    def __init__(self, op, at, value):
+        self.op, self.at, self.value = op, at, value
+        self.arity = op.arity
+
+    def __call__(self, *c):
+        return self.value if c == self.at else self.op(*c)
+
+
+@pytest.mark.parametrize("side", ["tail", "head", "later-head"])
+def test_verification_reports_an_edge_tuple_the_corruption_breaks(gad, side):
+    """Three distinct vertices are outside every identity of a ternary
+    weak near-unanimity, so only the edge check can catch a wrong value
+    there.  Tail side: entries with out-edges only, sent to a vertex with
+    no out-edge.  Head side: entries with in-edges only, sent to a vertex
+    with no in-edge.  Later head: level-1 entries, some of which their
+    element tails reach by a second out-edge, sent to the valley beside
+    their true image, which keeps that image's out-edge but has no
+    in-edge."""
+    system = wnu_system(3)
+    w = lift_general(gad, system, find_interpretations(two_cycle(), system))
+    assert verify_lifted_system(gad, w, system) == (True, None)
+    valley, peak = valley_and_peak_at(gad, 2)
+    elems = (elem_name("0"), elem_name("1"))
+    tups = (tup_name(("0", "1")), tup_name(("1", "0")))
+    if side == "tail":
+        at, value = elems + (valley,), tups[0]
+    elif side == "head":
+        at, value = tups + (peak,), elems[0]
+    else:
+        at = tuple(gad.paths[(a, r)].vertices[1]
+                   for a, r in (("0", ("0", "1")), ("0", ("1", "0")),
+                                ("1", ("1", "0"))))
+        value = gad.paths[gad.vertex_info[w["w"](*at)].edge].vertices[3]
+        assert not gad.digraph.in_neighbors(value)
+    bad = OneWrongTuple(w["w"], at, value)
+    ok, detail = verify_lifted_system(gad, {"w": bad}, system)
+    assert not ok
+    combo, (tail_image, head_image) = \
+        polymorphism_failure_on_digraph(gad.digraph, bad)
+    assert str(combo) in detail
+    # checked from the gadget's edge list alone
+    edges = {tuple(e) for e in gad.digraph.to_json()["edges"]}
+    assert len(combo) == 3 and all(e in edges for e in combo)
+    tails = tuple(e[0] for e in combo)
+    heads = tuple(e[1] for e in combo)
+    assert (tails if side == "tail" else heads) == at
+    assert (bad(*tails), bad(*heads)) == (tail_image, head_image)
+    assert (tail_image, head_image) not in edges
 
 
 # -- property: lifts of random templates verify -------------------------

@@ -90,6 +90,21 @@ def test_compute_levels_detects_imbalance():
     assert out.reason == "not balanced"
 
 
+def test_compute_levels_hands_back_the_weak_components():
+    rng = random.Random(4)
+    leveled = 0
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 10))]
+        rng.shuffle(names)
+        g = Digraph(names, [(rng.choice(names), rng.choice(names))
+                            for _ in range(rng.randint(0, 6))])
+        lv = compute_levels(g)
+        if not isinstance(lv, LevelingFailure):
+            leveled += 1
+            assert [list(c) for c in lv.components] == g.weak_components()
+    assert leveled > 100
+
+
 def test_collapse_concatenates_relations():
     s = RelationalStructure(
         ["0", "1"],
