@@ -328,11 +328,18 @@ def gadget_templates(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(gadget_templates())
 def test_diagonal_component_matches_search(template):
+    """Also: on one level, the lift's rule that a pair is isolated when
+    one entry has no out-edge and one has no in-edge picks out exactly
+    the pairs outside the diagonal component."""
     gadget = build_gadget(template)
     g = gadget.digraph
     diag = diagonal_component_pairs(g)
     for pair in itertools.product(g.vertices, repeat=2):
         assert in_diagonal_component(gadget, pair) == (pair in diag), pair
+        if gadget.levels[pair[0]] == gadget.levels[pair[1]]:
+            isolated = (any(not g.out_neighbors(x) for x in pair)
+                        and any(not g.in_neighbors(x) for x in pair))
+            assert isolated == (pair not in diag), pair
 
 
 # -- golden tables ----------------------------------------------------
