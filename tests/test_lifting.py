@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcsp.algebra import (IdentitySystem, commutative_idempotent_binary_system,
-                           find_interpretations, find_wnu, kkvw_system,
+                           endomorphisms, find_interpretations, find_wnu,
+                           kkvw_system,
                            majority_system, maltsev_system,
                            three_permutability_system, wnu_system,
                            zigzag_operations)
@@ -17,8 +18,10 @@ from dgcsp.lifting import (LiftInvariantError, UnliftableSystemError,
                            polymorphism_failure_on_digraph,
                            verify_lifted_system)
 from dgcsp.selftest import diagonal_component_pairs
+from dgcsp.solver import HomInstance
 from dgcsp.structures import RelationalStructure
-from dgcsp.templates import leq_template, one_element, two_cycle
+from dgcsp.templates import (leq_template, one_element, parity_template,
+                             two_cycle, zigzag_digraph_template)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,39 @@ def test_swap_lifts_to_an_automorphism(gad):
 def test_non_preserving_map_is_rejected(gad):
     with pytest.raises(UnliftableSystemError):
         lift_endomorphism(gad, {"0": "0", "1": "0"})
+
+
+ENDOMORPHISM_TEMPLATES = {"2cycle": two_cycle, "leq": leq_template,
+                          "parity": parity_template,
+                          "one-element": one_element,
+                          "zigzag": zigzag_digraph_template}
+
+# sha256 of every endomorphism's images, in domain order, followed by
+# the (vertex, image) lines of its lift in the lift's own order
+ENDOMORPHISM_DIGESTS = {
+    "2cycle":
+        "3f95c42a53567c99f82dd6e253a754c6c53a69bd4127ab6657d682a039e5b978",
+    "leq":
+        "275cfbd08540995862240f4ec4ecbbed0eeaad4bd6b904582e6f0c1d901ddcfd",
+    "one-element":
+        "3e78b30dff41b08f3395ce53a6ec0c82919f5c5e2f978a8f8e9fb98c0a588aa9",
+    "parity":
+        "33585f673c1c5edecddb5222d1b1f6d3c33f4e2a7db336ae3e4ffafb43c25b05",
+    "zigzag":
+        "bd2e584a1021312b95c93229c0eadc67c74026b11b5fa2eee699a2cfa28e3466",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDOMORPHISM_TEMPLATES))
+def test_endomorphism_lifts_are_pinned(name):
+    template = ENDOMORPHISM_TEMPLATES[name]()
+    gadget = build_gadget(template)
+    h = hashlib.sha256()
+    for phi in endomorphisms(template):
+        h.update(("\t".join(phi[a] for a in template.domain) + "\n").encode())
+        for v, image in lift_endomorphism(gadget, phi).items():
+            h.update(f"{v}\t{image}\n".encode())
+    assert h.hexdigest() == ENDOMORPHISM_DIGESTS[name]
 
 
 # -- weak near-unanimity lift -----------------------------------------
@@ -340,6 +376,20 @@ def test_diagonal_component_matches_search(template):
             isolated = (any(not g.out_neighbors(x) for x in pair)
                         and any(not g.in_neighbors(x) for x in pair))
             assert isolated == (pair not in diag), pair
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gadget_templates())
+def test_endomorphism_lift_is_the_unique_pinned_extension(template):
+    """With element and tuple vertices pinned to their images, the
+    gadget has exactly one endomorphism, and it is the lift."""
+    gadget = build_gadget(template)
+    d = gadget.digraph.as_structure()
+    for phi in endomorphisms(template, limit=6):
+        out = lift_endomorphism(gadget, phi)
+        pins = {v: out[v] for v, info in gadget.vertex_info.items()
+                if info.kind != "path"}
+        assert HomInstance(d, d, pins).solve_all(limit=2) == [out], phi
 
 
 # -- golden tables ----------------------------------------------------
