@@ -65,7 +65,7 @@ class OperationTable:
                 "map": [list(args) + [value] for args, value in self.rows()]}
 
     @classmethod
-    def from_json(cls, obj, domain=None):
+    def from_json(cls, obj):
         try:
             arity = int(obj["arity"])
             rows = obj["map"]
@@ -80,9 +80,7 @@ class OperationTable:
             args, value = tuple(row[:-1]), row[-1]
             mapping[args] = value
             seen.update(row)
-        if domain is None:
-            domain = sorted(seen)
-        return cls(domain, arity, mapping)
+        return cls(sorted(seen), arity, mapping)
 
     def is_idempotent(self):
         return all(self(*((x,) * self.arity)) == x for x in self.domain)

@@ -98,39 +98,6 @@ def build_path(single_edges, k):
     return QPath(k, single_edges, OrientedPathSpec(tuple(word)), tuple(spans))
 
 
-def path_position_map(src, dst):
-    """Position map of the canonical embedding of one connecting path in
-    another, or None when no embedding exists.
-
-    An embedding exists iff the source's single-edge set is contained in
-    the destination's.  It is unique: seams go to seams, single sections
-    to single sections, zigzags onto zigzags identically, and a zigzag
-    onto a single section by folding (local positions 0,2 -> 0 and
-    1,3 -> 1).  Endpoints are preserved.
-    """
-    if src.k != dst.k:
-        return None
-    if not src.single_edges <= dst.single_edges:
-        return None
-    out = [0] * src.num_vertices
-    for l in range(1, src.k + 1):
-        (alo, ahi) = src.section_spans[l - 1]
-        (blo, bhi) = dst.section_spans[l - 1]
-        if src.is_single(l):
-            out[alo] = blo
-            out[ahi] = bhi
-        elif not dst.is_single(l):
-            for j in range(4):
-                out[alo + j] = blo + j
-        else:
-            out[alo] = blo
-            out[alo + 1] = bhi
-            out[alo + 2] = blo
-            out[alo + 3] = bhi
-    out[src.last_position] = dst.last_position
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GadgetPath:
     """One instantiated connecting path inside the gadget digraph."""
@@ -180,7 +147,6 @@ class GadgetDigraph:
 
         self.edge_order = tuple(
             (a, r) for a in template.domain for r in rel.tuples)
-        self.edge_index = {e: i for i, e in enumerate(self.edge_order)}
 
         vertices = [elem_name(a) for a in template.domain]
         vertices.extend(tup_name(r) for r in rel.tuples)

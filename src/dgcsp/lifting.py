@@ -1,13 +1,13 @@
 """Lifting template operations to the gadget digraph.
 
-An endomorphism of a single-relation template extends canonically to
-its gadget: elements and tuples map through the template operation and
-each connecting path follows the unique embedding into its image path.
-The same idea extends to higher arities: any family of idempotent
-operations satisfying a system of linear identities lifts, provided
-each identity is balanced or uses at most two variables and the zigzag
-admits operations for the same system.  Weak near-unanimity operations
-are one such system and lift through the same construction.
+Every template operation extends to the gadget by one construction.
+Any family of idempotent operations satisfying a system of linear
+identities lifts, provided each identity is balanced or uses at most two
+variables and the zigzag admits operations for the same system; weak
+near-unanimity operations are one such system.  An endomorphism is the
+construction at arity 1, with the identity as the zigzag operation:
+elements and tuples map through it and each connecting path follows the
+unique embedding into its image path.
 
 The lifted value of a tuple of gadget vertices depends first on its
 levels.  On one level, tuples of elements or of relation tuples map
@@ -34,7 +34,7 @@ from collections import Counter
 
 from .algebra import (_ZPOS, _ZVERT, check_identities, find_interpretations,
                       wnu_system)
-from .gadget import elem_name, path_position_map, tup_name
+from .gadget import elem_name, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
 
@@ -90,32 +90,21 @@ class GadgetOrder:
         self.low_rank = {v: i for i, v in enumerate(self.by_low)}
         self.high_rank = {v: i for i, v in enumerate(self.by_high)}
 
-    def minimum(self, names):
-        return self.by_low[min(map(self.low_rank.__getitem__, names))]
-
 
 def in_diagonal_component(gadget, c):
     """Whether a tuple of gadget vertices lies in the weak component of
     the diagonal of the gadget's direct power.
 
-    Characterization used: all levels equal, and either every entry is
-    an element, every entry is a tuple vertex, every entry has an
-    out-edge, or every entry has an in-edge.
+    This is the rule the lifted operations apply: all levels are equal,
+    and it is not the case that some entry has no out-edge and some
+    entry has no in-edge.  Tuples of elements and tuples of tuple
+    vertices pass, since every element has an out-edge and every tuple
+    vertex an in-edge.
     """
-    levels = {gadget.levels[x] for x in c}
-    if len(levels) != 1:
-        return False
-    infos = [gadget.vertex_info[x] for x in c]
-    if all(i.kind == "elem" for i in infos):
-        return True
-    if all(i.kind == "tup" for i in infos):
-        return True
     g = gadget.digraph
-    if all(g.out_neighbors(x) for x in c):
-        return True
-    if all(g.in_neighbors(x) for x in c):
-        return True
-    return False
+    return (len({gadget.levels[x] for x in c}) == 1
+            and not (any(not g.out_neighbors(x) for x in c)
+                     and any(not g.in_neighbors(x) for x in c)))
 
 
 # ---------------------------------------------------------------------
@@ -126,7 +115,9 @@ def lift_endomorphism(gadget, phi):
     """Extend a template endomorphism to the gadget digraph.
 
     ``phi`` maps template elements to template elements and must
-    preserve the relation.  Returns a vertex map of the gadget that
+    preserve the relation.  The lift is the general construction at
+    arity 1, with ``phi`` as the template operation and the identity as
+    the zigzag operation.  Returns a vertex map of the gadget that
     preserves edges and levels.
     """
     template = gadget.template
@@ -134,35 +125,19 @@ def lift_endomorphism(gadget, phi):
     for a in template.domain:
         if phi.get(a) not in template.domain:
             raise UnliftableSystemError(f"map does not cover element {a!r}")
-
-    def image_tuple(r):
-        return tuple(phi[x] for x in r)
-
     for r in rel.tuples:
-        if image_tuple(r) not in rel.tuples:
+        if tuple(phi[x] for x in r) not in rel.tuples:
             raise UnliftableSystemError(
                 f"map does not preserve the relation on {r}")
 
-    out = {}
-    for v, info in gadget.vertex_info.items():
-        if info.kind == "elem":
-            out[v] = elem_name(phi[info.element])
-        elif info.kind == "tup":
-            out[v] = tup_name(image_tuple(info.rtuple))
-    for (a, r), gp in gadget.paths.items():
-        target = gadget.paths[(phi[a], image_tuple(r))]
-        pm = path_position_map(gp.qpath, target.qpath)
-        if pm is None:
-            raise LiftInvariantError(
-                f"path for ({a}, {r}) does not embed into its image path")
-        for j in range(1, gp.qpath.last_position):
-            out[gp.vertices[j]] = target.vertices[pm[j]]
-
-    g = gadget.digraph
-    for u, v in g.edges:
-        if not g.has_edge(out[u], out[v]):
-            raise LiftInvariantError(f"lift breaks edge ({u}, {v})")
-    return out
+    op = LiftedOperation(gadget, 1, _row_evaluator(
+        gadget, GadgetOrder(gadget), _last_argument_groups(gadget),
+        _section_records(gadget), phi.__getitem__, lambda z: z),
+        name="endomorphism-lift")
+    bad = polymorphism_failure_on_digraph(gadget.digraph, op)
+    if bad is not None:
+        raise LiftInvariantError(f"lift breaks edges: {bad}")
+    return {v: op(v) for v in gadget.digraph.vertices}
 
 
 # ---------------------------------------------------------------------
@@ -228,8 +203,7 @@ def lift_wnu(gadget, table):
     return _lift(gadget, wnu_system(m), {"w": table})["w"]
 
 
-def lift_general(gadget, system, interps, zigzag_interps=None,
-                 budget=DEFAULT_BUDGET):
+def lift_general(gadget, system, interps, budget=DEFAULT_BUDGET):
     """Lift interpretations of an idempotent linear identity system from
     the template to the gadget digraph.
 
@@ -237,16 +211,16 @@ def lift_general(gadget, system, interps, zigzag_interps=None,
     every identity is balanced (same variable set on both sides) or uses
     at most two variables; ``interps`` satisfies the system on the
     template and consists of polymorphisms; and the zigzag admits
-    interpretations of the same system (searched for when not supplied).
+    interpretations of the same system (searched for within ``budget``).
     Violations raise :class:`UnliftableSystemError`.
 
     Returns symbol -> :class:`LiftedOperation`; the lifted family
     satisfies the same system on the gadget digraph.
     """
-    return _lift(gadget, system, interps, zigzag_interps, budget)
+    return _lift(gadget, system, interps, budget)
 
 
-def _lift(gadget, system, interps, zigzag_interps=None, budget=DEFAULT_BUDGET):
+def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
     missing = set(system.symbols) - set(system.idempotent)
     if missing:
         raise UnliftableSystemError(
@@ -256,33 +230,16 @@ def _lift(gadget, system, interps, zigzag_interps=None, budget=DEFAULT_BUDGET):
             raise UnliftableSystemError(
                 f"identity {ident} is unbalanced and uses more than two "
                 "variables")
-
-    ok, why = check_identities(interps, system, domain=gadget.template.domain)
-    if not ok:
-        raise UnliftableSystemError(
-            f"interpretations do not satisfy the system on the template: {why}")
-    for s in system.symbols:
-        bad = interps[s].polymorphism_failure(gadget.template)
-        if bad is not None:
-            raise UnliftableSystemError(
-                f"interpretation of {s} is not a polymorphism: {bad}")
-
+    _check_interpretations(system, interps, gadget.template,
+                           "interpretation", " on the template")
     zz = zigzag_digraph_template()
+    zigzag_interps = find_interpretations(zz, system, budget=budget)
     if zigzag_interps is None:
-        zigzag_interps = find_interpretations(zz, system, budget=budget)
-        if zigzag_interps is None:
-            raise UnliftableSystemError(
-                "the zigzag admits no interpretations of this system; "
-                "the lift is not defined")
-    ok, why = check_identities(zigzag_interps, system, domain=zz.domain)
-    if not ok:
         raise UnliftableSystemError(
-            f"zigzag interpretations do not satisfy the system: {why}")
-    for s in system.symbols:
-        bad = zigzag_interps[s].polymorphism_failure(zz)
-        if bad is not None:
-            raise UnliftableSystemError(
-                f"zigzag interpretation of {s} is not a polymorphism: {bad}")
+            "the zigzag admits no interpretations of this system; "
+            "the lift is not defined")
+    _check_interpretations(system, zigzag_interps, zz,
+                           "zigzag interpretation", "")
 
     order = GadgetOrder(gadget)
     groups = _last_argument_groups(gadget)
@@ -293,6 +250,20 @@ def _lift(gadget, system, interps, zigzag_interps=None, budget=DEFAULT_BUDGET):
                                zigzag_interps[s]),
                 name=f"{s}-lift")
             for s, m in system.symbols.items()}
+
+
+def _check_interpretations(system, interps, structure, what, where):
+    """Raise :class:`UnliftableSystemError` unless ``interps`` satisfies
+    the system on ``structure`` and consists of its polymorphisms."""
+    ok, why = check_identities(interps, system, domain=structure.domain)
+    if not ok:
+        raise UnliftableSystemError(
+            f"{what}s do not satisfy the system{where}: {why}")
+    for s in system.symbols:
+        bad = interps[s].polymorphism_failure(structure)
+        if bad is not None:
+            raise UnliftableSystemError(
+                f"{what} of {s} is not a polymorphism: {bad}")
 
 
 def _last_argument_groups(gadget):
@@ -457,7 +428,8 @@ def _diagonal_value(gadget, order, f_elem, f_zig, c, recs, lam):
         return tp.vertices[lo + _ZPOS[z]], "diagonal-zigzag"
     if not locs:
         raise LiftInvariantError("zigzag target section with no zigzag sources")
-    return order.minimum([tp.vertices[lo + p] for p in locs]), "diagonal-mixed"
+    return (order.by_low[min(order.low_rank[tp.vertices[lo + p]]
+                             for p in locs)], "diagonal-mixed")
 
 
 # ---------------------------------------------------------------------

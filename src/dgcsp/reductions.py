@@ -44,10 +44,10 @@ class FreshNames:
     """Monotone counter for fresh names that never collides with a
     reserved set (or with names it already handed out)."""
 
-    def __init__(self, reserved=(), prefix="x", start=1):
+    def __init__(self, reserved=(), prefix="x"):
         self._taken = set(reserved)
         self._prefix = prefix
-        self._n = start
+        self._n = 1
 
     def next(self):
         while True:
@@ -219,7 +219,6 @@ def internal_components(g, levels, n):
     sub = g.induced(interior)
     out = []
     for comp in sub.weak_components():
-        cset = set(comp)
         bases, tops = set(), set()
         base_adj, top_adj = set(), set()
         for c in comp:
@@ -302,7 +301,7 @@ class GeneralizedHyperedge:
         return len(self.entries)
 
 
-def extract_hyperedges(level_n, level_0, comps, k, fresh=None):
+def extract_hyperedges(level_n, level_0, comps, k):
     """Compile interior pieces (with their blocked coordinates) into
     generalized hyperedges and equalities.
 
@@ -315,13 +314,12 @@ def extract_hyperedges(level_n, level_0, comps, k, fresh=None):
     elsewhere.  Equalities identify all tops of a piece and all bases of
     a piece.
     """
-    if fresh is None:
-        reserved = set(level_n) | set(level_0)
-        for c in comps:
-            reserved.update(c.vertices)
-            reserved.update(c.bases)
-            reserved.update(c.tops)
-        fresh = FreshNames(reserved=reserved, prefix="x")
+    reserved = set(level_n) | set(level_0)
+    for c in comps:
+        reserved.update(c.vertices)
+        reserved.update(c.bases)
+        reserved.update(c.tops)
+    fresh = FreshNames(reserved=reserved, prefix="x")
 
     standins = {}
 
@@ -390,25 +388,42 @@ def stage3a_to_json(hyperedges, equalities):
             "equalities": [list(eq) for eq in equalities]}
 
 
+def _is_name(x):
+    return isinstance(x, (str, int)) and not isinstance(x, bool)
+
+
 def stage3a_from_json(obj):
-    if not isinstance(obj, dict):
-        raise InvalidStructureError("hyperedge file must be a JSON object")
-    try:
-        hs = obj["hyperedges"]
-        eqs = obj["equalities"]
-    except (KeyError, TypeError):
-        raise InvalidStructureError(
-            "hyperedge file needs 'hyperedges' and 'equalities' keys") from None
+    """Read the hyperedge/equality file format: ``hyperedges``, a list
+    of objects with ``entries`` (a non-empty list of non-empty lists of
+    names) and optionally a string ``label``, and ``equalities``, a list
+    of two-name lists.  Names are strings or integers."""
+    if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(key), list)
+            for key in ("hyperedges", "equalities")):
+        raise InvalidStructureError("hyperedge file must be an object with "
+                                    "'hyperedges' and 'equalities' lists")
     hyperedges = []
-    for item in hs:
-        entries = tuple(frozenset(str(x) for x in entry)
-                        for entry in item["entries"])
-        if not entries or any(not e for e in entries):
-            raise InvalidStructureError("hyperedge with an empty entry")
-        hyperedges.append(
-            GeneralizedHyperedge(entries, label=item.get("label")))
-    equalities = tuple((str(a), str(b)) for a, b in eqs)
-    return tuple(hyperedges), equalities
+    for item in obj["hyperedges"]:
+        entries = item.get("entries") if isinstance(item, dict) else None
+        if not isinstance(entries, list) or not entries or not all(
+                isinstance(e, list) and e and all(map(_is_name, e))
+                for e in entries):
+            raise InvalidStructureError(
+                f"hyperedge {item!r} needs 'entries', a non-empty list of "
+                "non-empty lists of names")
+        label = item.get("label")
+        if "label" in item and not isinstance(label, str):
+            raise InvalidStructureError(
+                f"hyperedge label {label!r} must be a string")
+        hyperedges.append(GeneralizedHyperedge(
+            tuple(frozenset(map(str, e)) for e in entries), label=label))
+    for eq in obj["equalities"]:
+        if not (isinstance(eq, list) and len(eq) == 2
+                and all(map(_is_name, eq))):
+            raise InvalidStructureError(
+                f"equality {eq!r} must be a list of two names")
+    return tuple(hyperedges), tuple((str(a), str(b))
+                                    for a, b in obj["equalities"])
 
 
 @dataclass(frozen=True)

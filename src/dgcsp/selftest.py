@@ -17,13 +17,12 @@ from .algebra import (check_identities, commutative_idempotent_binary_system,
                       endomorphisms, find_interpretations, find_wnu, is_core,
                       majority_system, maltsev_system,
                       three_permutability_system, zigzag_operations)
-from .gadget import build_gadget, build_path, count_formula, path_position_map
+from .gadget import build_gadget, build_path, count_formula
 from .lifting import (UnliftableSystemError, in_diagonal_component,
                       lift_general, lift_wnu, polymorphism_failure_on_digraph,
                       verify_lifted_system)
 from .reductions import Reduced, backward_reduce, stage3a_from_json, amalgamate
-from .solver import (DEFAULT_BUDGET, digraph_hom, digraph_hom_exists,
-                     find_homomorphism)
+from .solver import HomInstance, digraph_hom_exists, find_homomorphism
 from .structures import (Digraph, Relation, RelationalStructure,
                          collapse_to_single_relation)
 from .templates import (leq_template, one_element, parity_template,
@@ -139,8 +138,9 @@ def criterion_1(seed=42):
 
 
 def criterion_2(seed=42):
-    """Connecting-path embeddings exist exactly for subset pairs, and the
-    direct check agrees with the pinned solver."""
+    """With endpoints pinned, one connecting path embeds into another in
+    exactly one way when its single-edge set is a subset of the other's,
+    and in none otherwise."""
     def check():
         pairs = 0
         for k in range(1, 5):
@@ -148,23 +148,21 @@ def criterion_2(seed=42):
             subsets = [frozenset(c) for r in range(k + 1)
                        for c in itertools.combinations(coords, r)]
             for I in subsets:
-                src = build_path(I, k)
-                sg = src.spec.realize(prefix="s")
+                src = build_path(I, k).spec.realize(prefix="s")
                 for J in subsets:
-                    dst = build_path(J, k)
-                    expected = I <= J
-                    got = path_position_map(src, dst) is not None
-                    if got != expected:
-                        return False, f"k={k}, I={set(I)}, J={set(J)}: {got}"
-                    dg = dst.spec.realize(prefix="d")
-                    pins = {sg.vertices[0]: dg.vertices[0],
-                            sg.vertices[-1]: dg.vertices[-1]}
-                    via_solver = digraph_hom(sg, dg, pins=pins) is not None
-                    if via_solver != expected:
-                        return False, (f"solver disagrees at k={k}, "
-                                       f"I={set(I)}, J={set(J)}")
+                    dst = build_path(J, k).spec.realize(prefix="d")
+                    pins = {src.vertices[0]: dst.vertices[0],
+                            src.vertices[-1]: dst.vertices[-1]}
+                    found = len(HomInstance(
+                        src.as_structure(), dst.as_structure(),
+                        pins).solve_all(limit=2))
+                    expected = 1 if I <= J else 0
+                    if found != expected:
+                        return False, (f"k={k}, I={set(I)}, J={set(J)}: "
+                                       f"{found} embeddings, expected "
+                                       f"{expected}")
                     pairs += 1
-        return True, f"{pairs} path pairs, direct == subset == solver"
+        return True, f"{pairs} path pairs, one embedding iff subset"
     return _run(2, "path-embedding-oracle", check)
 
 
@@ -373,11 +371,9 @@ def diagonal_component_pairs(g):
     frontier = list(diag)
     while frontier:
         u, v = frontier.pop()
-        steps = [p for a in g.out_neighbors(u)
-                 for b in g.out_neighbors(v) for p in [(a, b)]]
-        steps += [p for a in g.in_neighbors(u)
-                  for b in g.in_neighbors(v) for p in [(a, b)]]
-        for p in steps:
+        for p in itertools.chain(
+                itertools.product(g.out_neighbors(u), g.out_neighbors(v)),
+                itertools.product(g.in_neighbors(u), g.in_neighbors(v))):
             if p not in diag:
                 diag.add(p)
                 frontier.append(p)

@@ -308,14 +308,14 @@ class Digraph:
             comps.append(comp)
         return comps
 
-    def as_structure(self, relation_name="E"):
+    def as_structure(self):
         """View this digraph as a structure with one binary relation.
 
         The edge relation may be empty here; this is the internal bridge
         used to feed digraphs to the homomorphism solver.
         """
         return RelationalStructure(
-            self.vertices, [(relation_name, 2, list(self.edges))])
+            self.vertices, [("E", 2, list(self.edges))])
 
     @classmethod
     def from_json(cls, obj):
@@ -360,13 +360,13 @@ class LevelAssignment:
         return self.levels[v]
 
 
-def digraph_to_dot(g, levels=None, name="G"):
+def digraph_to_dot(g, levels=None):
     """Render a digraph in dot format, one vertex/edge per line.
 
     With a level assignment, vertices of equal level are put on the same
     rank so the drawing is layered bottom-up.
     """
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph G {", "  rankdir=BT;"]
     for v in g.vertices:
         lines.append(f'  "{v}";')
     if levels is not None:
@@ -412,16 +412,9 @@ class OrientedPathSpec:
         low = min(lvls)
         return tuple(x - low for x in lvls)
 
-    def realize(self, names=None, prefix="p"):
+    def realize(self, prefix="p"):
         """Build the path as a digraph with vertices prefix0..prefixL."""
-        n = len(self.word) + 1
-        if names is None:
-            names = [f"{prefix}{i}" for i in range(n)]
-        else:
-            names = list(names)
-            if len(names) != n:
-                raise InvalidStructureError(
-                    f"expected {n} vertex names, got {len(names)}")
+        names = [f"{prefix}{i}" for i in range(len(self.word) + 1)]
         return Digraph(names, path_edges(self.word, names))
 
 
@@ -444,7 +437,6 @@ class CollapsedTemplate:
 
     structure: RelationalStructure
     offsets: tuple[int, ...]
-    source: RelationalStructure
 
     @property
     def relation(self):
@@ -455,7 +447,7 @@ class CollapsedTemplate:
         return self.relation.arity
 
 
-def collapse_to_single_relation(structure, relation_name="R"):
+def collapse_to_single_relation(structure):
     """Combine all relations of a template into one product relation.
 
     Solvability of instances is preserved both ways: a combined
@@ -474,13 +466,13 @@ def collapse_to_single_relation(structure, relation_name="R"):
         offsets.append(at)
         at += r.arity
     if structure.is_single_relation:
-        return CollapsedTemplate(structure, tuple(offsets), structure)
+        return CollapsedTemplate(structure, tuple(offsets))
     combined = []
     for combo in itertools.product(*(r.tuples for r in structure.relations)):
         flat = tuple(itertools.chain.from_iterable(combo))
         combined.append(flat)
-    out = RelationalStructure(structure.domain, [(relation_name, at, combined)])
-    return CollapsedTemplate(out, tuple(offsets), structure)
+    out = RelationalStructure(structure.domain, [("R", at, combined)])
+    return CollapsedTemplate(out, tuple(offsets))
 
 
 def tuple_name(names):

@@ -202,6 +202,25 @@ def test_mistyped_digraph_is_a_usage_error(tmp_path, capsys, obj):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("obj", [
+    {"hyperedges": [{"entries": "ab"}], "equalities": []},
+    {"hyperedges": [{"entries": ["ab", ["c"]]}], "equalities": []},
+    {"hyperedges": "xy", "equalities": []},
+    {"hyperedges": [[["a"], ["b"]]], "equalities": []},
+    {"hyperedges": [{"label": 3, "entries": [["a"], ["b"]]}],
+     "equalities": []},
+    {"hyperedges": [{"entries": [["a"], ["b"]]}], "equalities": [1]},
+], ids=["string-entries", "string-entry", "string-hyperedges",
+        "list-hyperedge", "number-label", "number-equality"])
+def test_mistyped_stage3a_file_is_a_usage_error(tmp_path, capsys, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    assert main(["backward", "--from-stage3a", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_lift_invariant_failure_exits_4(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise LiftInvariantError("broken invariant")

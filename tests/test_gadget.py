@@ -1,8 +1,7 @@
 import pytest
 
 from dgcsp.gadget import (GadgetDigraph, build_gadget, build_path,
-                          count_formula, elem_name, path_position_map,
-                          tup_name)
+                          count_formula, elem_name, tup_name)
 from dgcsp.structures import InvalidStructureError, SizeGuardError
 from dgcsp.templates import one_element, parity_template, two_cycle
 
@@ -29,33 +28,6 @@ def test_path_rejects_bad_coordinates():
         build_path({0}, 2)
     with pytest.raises(InvalidStructureError):
         build_path({3}, 2)
-
-
-def test_path_embedding_iff_subset():
-    a = build_path({1}, 2)
-    b = build_path({1, 2}, 2)
-    pm = path_position_map(a, b)
-    assert pm is not None
-    assert pm[0] == 0 and pm[-1] == b.last_position
-    assert path_position_map(b, a) is None
-
-
-def test_position_map_folds_zigzag_onto_single_edge():
-    src = build_path(set(), 1)          # single zigzag section
-    dst = build_path({1}, 1)
-    pm = path_position_map(src, dst)
-    # seams at both ends, zigzag interior folded onto the single edge
-    lo, hi = dst.section_spans[0]
-    inner = pm[src.section_spans[0][0]:src.section_spans[0][1] + 1]
-    assert inner == (lo, hi, lo, hi)
-
-
-def test_position_map_is_level_preserving():
-    src = build_path(set(), 3)
-    dst = build_path({2}, 3)
-    pm = path_position_map(src, dst)
-    src_lv, dst_lv = src.levels(), dst.levels()
-    assert all(src_lv[i] == dst_lv[pm[i]] for i in range(src.num_vertices))
 
 
 @pytest.fixture(scope="module")
