@@ -232,10 +232,11 @@ def cmd_lift(args):
                 raise UsageError(
                     f"materializing {s} needs {n ** op.arity} rows; "
                     "drop --output for a summary only")
+            verts = gad.digraph.vertices
             rows[s] = {"arity": op.arity,
-                       "map": [list(c) + [op(*c)] for c in
-                               itertools.product(gad.digraph.vertices,
-                                                 repeat=op.arity)]}
+                       "map": [[*prefix, y, value] for prefix in
+                               itertools.product(verts, repeat=op.arity - 1)
+                               for y, value in zip(verts, op.row(prefix))]}
         _emit(_dump(rows), args.output)
     return 0
 

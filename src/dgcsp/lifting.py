@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 
 from .algebra import (_ZPOS, _ZVERT, check_identities, find_interpretations,
                       wnu_system)
@@ -151,9 +152,10 @@ class LiftedOperation:
     A row is keyed by the first ``arity - 1`` arguments and holds one
     value per last argument, in the order of ``gadget.digraph.vertices``;
     ``row_evaluator`` maps such a prefix to the row's values and a
-    Counter of the cases that produced them.  ``case_counts`` sums those
-    Counters, so it counts the entries of the rows computed so far, not
-    the distinct inputs seen.
+    Counter of the cases that produced them.  :meth:`row` reads a row,
+    filling it on first use, and calls read their value from it.
+    ``case_counts`` sums the Counters, so it counts the entries of the
+    rows computed so far, not the distinct inputs seen.
     """
 
     def __init__(self, gadget, arity, row_evaluator, name="lift"):
@@ -169,13 +171,15 @@ class LiftedOperation:
     def __call__(self, *c):
         if len(c) != self.arity:
             raise TypeError(f"{self.name} takes {self.arity} arguments")
-        prefix = c[:-1]
-        row = self._rows.get(prefix)
-        if row is None:
-            row = self._fill(prefix)
-        return row[self._index[c[-1]]]
+        return self.row(c[:-1])[self._index[c[-1]]]
 
-    def _fill(self, prefix):
+    def row(self, prefix):
+        """The values at ``prefix + (y,)`` for every vertex ``y``, in
+        ``domain`` order, as a tuple; ``prefix`` holds ``arity - 1``
+        vertices."""
+        row = self._rows.get(prefix)
+        if row is not None:
+            return row
         values, cases = self._row_evaluator(prefix)
         known = self.gadget.vertex_info
         if not known.keys() >= set(values):
@@ -184,8 +188,8 @@ class LiftedOperation:
                 f"{self.name}{prefix + (self.domain[i],)} produced unknown "
                 f"vertex {values[i]!r}")
         self.case_counts.update(cases)
-        self._rows[prefix] = values
-        return values
+        row = self._rows[prefix] = tuple(values)
+        return row
 
 
 def lift_wnu(gadget, table):
@@ -440,21 +444,61 @@ def polymorphism_failure_on_digraph(g, op):
     """First tuple of edges this vertex operation breaks, with the images
     of its tails and of its heads, or None.
 
-    Edge tuples are grouped by their tail tuple: the tails' image is
-    computed once, and each tuple of heads, one out-neighbour per tail,
-    must map to one of that image's out-neighbours.  ``op`` is any
-    callable with an ``arity``.
+    Edge tuples are checked in lexicographic (tail tuple, head tuple)
+    order, grouped by the tails' prefix, their first ``arity - 1``
+    entries.  Per prefix, the tails' row and the rows of every head
+    prefix (one out-neighbour per tail) are read once.  For each last
+    tail ``t``, the image is read from the tail row, and each head row's
+    entries at ``t``'s out-neighbours must all be out-neighbours of that
+    image: one set test per head row, and a scan only to name the first
+    failure.  ``op`` is any callable with an ``arity``; its rows come
+    from ``op.row(prefix)`` when it has one, in the order of
+    ``g.vertices``, and are otherwise built from ``op(*prefix, y)`` and
+    kept for the rest of the check.
     """
-    out = {v: g.out_neighbors(v) for v in g.vertices}
-    tails = [v for v in g.vertices if out[v]]
-    for tail in itertools.product(tails, repeat=op.arity):
-        image = op(*tail)
-        allowed = out[image]
-        for head in itertools.product(*map(out.__getitem__, tail)):
-            value = op(*head)
-            if value not in allowed:
-                return tuple(zip(tail, head)), (image, value)
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    out = {v: g.out_neighbors(v) for v in verts}
+    allowed = {v: frozenset(ns) for v, ns in out.items()}
+    # per last tail: its position and a getter of the entries at its
+    # out-neighbours, always a tuple (one index is given twice)
+    last = []
+    for t in verts:
+        if out[t]:
+            heads = [pos[y] for y in out[t]]
+            last.append((t, pos[t], itemgetter(*heads, *heads[:1])))
+    row = getattr(op, "row", None) or _rows_by_call(op, verts)
+    for prefix in itertools.product([t for t, _, _ in last],
+                                    repeat=op.arity - 1):
+        tail_row = row(prefix)
+        head_rows = [(head, row(head)) for head in
+                     itertools.product(*map(out.__getitem__, prefix))]
+        for t, i, at_heads in last:
+            image = tail_row[i]
+            ok = allowed[image]
+            for head, head_row in head_rows:
+                if not ok.issuperset(at_heads(head_row)):
+                    for y in out[t]:
+                        value = head_row[pos[y]]
+                        if value not in ok:
+                            return (tuple(zip(prefix + (t,), head + (y,))),
+                                    (image, value))
     return None
+
+
+def _rows_by_call(op, verts):
+    """Row reads for an operation with only ``__call__``: the row of a
+    prefix is ``op(*prefix, y)`` for every ``y`` in ``verts``, kept once
+    built."""
+    rows = {}
+
+    def row(prefix):
+        values = rows.get(prefix)
+        if values is None:
+            values = rows[prefix] = [op(*prefix, y) for y in verts]
+        return values
+
+    return row
 
 
 def verify_lifted_system(gadget, lifted, system):

@@ -3,7 +3,7 @@ import pytest
 from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
                            check_identities,
                            commutative_idempotent_binary_system, core_of,
-                           endomorphisms, find_interpretations, find_wnu,
+                           cyclic_system, endomorphisms, find_interpretations, find_wnu,
                            is_core, kkvw_system, majority_system,
                            maltsev_system, three_permutability_system,
                            wnu_system, zigzag_operations)
@@ -82,10 +82,31 @@ def test_check_identities_finds_violation():
 def test_canned_systems_mark_idempotence():
     for sys_ in (wnu_system(4), majority_system(), maltsev_system(),
                  three_permutability_system(),
-                 commutative_idempotent_binary_system(), kkvw_system()):
+                 commutative_idempotent_binary_system(), kkvw_system(),
+                 cyclic_system(3)):
         assert sys_.idempotent == frozenset(sys_.symbols)
     with pytest.raises(ValueError):
         wnu_system(2)
+
+
+def test_cyclic_system_rotates_its_arguments():
+    system = cyclic_system(3)
+    assert system.symbols == {"c": 3}
+    assert [str(i) for i in system.identities] == \
+        ["c(x1,x2,x3) = c(x2,x3,x1)"]
+    again = IdentitySystem.parse(str(system))
+    assert again.identities == system.identities
+    assert again.idempotent == system.idempotent
+    with pytest.raises(ValueError):
+        cyclic_system(1)
+
+
+def test_no_cyclic_ternary_term_on_the_directed_three_cycle():
+    """Applied to the edges (0, 1), (1, 2) and (2, 0), a cyclic ternary
+    polymorphism would give an edge between equal values, c(0, 1, 2) and
+    c(1, 2, 0), and the 3-cycle has no loop."""
+    assert find_interpretations(three_cycle(), cyclic_system(3)) is None
+    assert find_interpretations(two_cycle(), cyclic_system(3)) is not None
 
 
 def test_kkvw_system_round_trips_through_the_file_format():

@@ -1,19 +1,22 @@
+import functools
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcsp.algebra import (IdentitySystem, commutative_idempotent_binary_system,
-                           endomorphisms, find_interpretations, find_wnu,
-                           kkvw_system,
+                           cyclic_system, endomorphisms, find_interpretations,
+                           find_wnu, kkvw_system,
                            majority_system, maltsev_system,
                            three_permutability_system, wnu_system,
                            zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name, tup_name
-from dgcsp.lifting import (LiftInvariantError, UnliftableSystemError,
-                           in_diagonal_component, lift_endomorphism,
+from dgcsp.lifting import (LiftedOperation, LiftInvariantError,
+                           UnliftableSystemError, in_diagonal_component,
+                           lift_endomorphism,
                            lift_general, lift_wnu,
                            polymorphism_failure_on_digraph,
                            verify_lifted_system)
@@ -212,6 +215,23 @@ def test_kkvw_pair_lifts_and_verifies(gad):
             assert u(y, x, x) == v(y, x, x, x)
 
 
+@pytest.mark.parametrize("template", [two_cycle, leq_template])
+def test_cyclic_ternary_term_lifts_and_verifies(template):
+    system = cyclic_system(3)
+    gadget = build_gadget(template())
+    lifted = lift_general(gadget, system,
+                          find_interpretations(template(), system))
+    assert verify_lifted_system(gadget, lifted, system) == (True, None)
+
+
+def test_kkvw_pair_lifts_and_verifies_on_the_order_template():
+    system = kkvw_system()
+    gadget = build_gadget(leq_template())
+    lifted = lift_general(gadget, system,
+                          find_interpretations(leq_template(), system))
+    assert verify_lifted_system(gadget, lifted, system) == (True, None)
+
+
 def test_maltsev_system_is_rejected(gad):
     system = maltsev_system()
     interp = find_interpretations(two_cycle(), system)
@@ -266,6 +286,93 @@ class OneWrongTuple:
 
     def __call__(self, *c):
         return self.value if c == self.at else self.op(*c)
+
+
+class OneWrongRow(OneWrongTuple):
+    """The same corruption, also read a row at a time."""
+
+    def row(self, prefix):
+        values = self.op.row(prefix)
+        if prefix != self.at[:-1]:
+            return values
+        i = self.op.domain.index(self.at[-1])
+        return values[:i] + (self.value,) + values[i + 1:]
+
+
+def reference_failure(g, op):
+    """The verifier's contract, one edge tuple at a time: the first
+    tuple of edges in lexicographic (tail tuple, head tuple) order whose
+    head image is not an out-neighbour of its tail image, with both
+    images, or None."""
+    out = {v: g.out_neighbors(v) for v in g.vertices}
+    tails = [v for v in g.vertices if out[v]]
+    for tail in itertools.product(tails, repeat=op.arity):
+        image = op(*tail)
+        for head in itertools.product(*map(out.__getitem__, tail)):
+            value = op(*head)
+            if value not in out[image]:
+                return tuple(zip(tail, head)), (image, value)
+    return None
+
+
+def directed_three_cycle():
+    return RelationalStructure(
+        ["0", "1", "2"], [("E", 2, [("0", "1"), ("1", "2"), ("2", "0")])])
+
+
+DIFFERENTIAL_CASES = {
+    "2cycle-wnu3": (two_cycle, lambda: wnu_system(3)),
+    "2cycle-majority": (two_cycle, majority_system),
+    "leq-wnu3": (leq_template, lambda: wnu_system(3)),
+    "leq-majority": (leq_template, majority_system),
+    "C3-binary": (directed_three_cycle, commutative_idempotent_binary_system),
+    "2cycle-swap": (two_cycle, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def differential_case(name):
+    """A gadget and one sound lifted operation on it; the endomorphism
+    case is the lift of the 2-cycle's swap, read as an arity-1 lifted
+    operation."""
+    make_template, make_system = DIFFERENTIAL_CASES[name]
+    template = make_template()
+    gadget = build_gadget(template)
+    if make_system is None:
+        images = lift_endomorphism(gadget, {"0": "1", "1": "0"})
+        verts = gadget.digraph.vertices
+        op = LiftedOperation(
+            gadget, 1, lambda prefix: ([images[v] for v in verts], Counter()))
+    else:
+        system = make_system()
+        lifted = lift_general(gadget, system,
+                              find_interpretations(template, system))
+        op = next(iter(lifted.values()))
+    assert reference_failure(gadget.digraph, op) is None
+    return gadget, op
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DIFFERENTIAL_CASES)), st.data())
+def test_row_reads_report_the_reference_failure(name, data):
+    """Corrupted at one input (the tails or heads of an edge tuple, or
+    any tuple) to a random vertex, an operation gets from the verifier
+    exactly the reference's first failure, or None with it, whether it
+    is read a row at a time or only through calls."""
+    gadget, op = differential_case(name)
+    g = gadget.digraph
+    side = data.draw(st.sampled_from(["tail", "head", "any"]))
+    if side == "any":
+        at = data.draw(st.tuples(*[st.sampled_from(g.vertices)] * op.arity))
+    else:
+        combo = data.draw(st.tuples(*[st.sampled_from(g.edges)] * op.arity))
+        at = tuple(e[side == "head"] for e in combo)
+    value = data.draw(st.sampled_from(g.vertices))
+    expected = reference_failure(g, OneWrongTuple(op, at, value))
+    assert polymorphism_failure_on_digraph(
+        g, OneWrongTuple(op, at, value)) == expected
+    assert polymorphism_failure_on_digraph(
+        g, OneWrongRow(op, at, value)) == expected
 
 
 @pytest.mark.parametrize("side", ["tail", "head", "later-head"])
@@ -393,11 +500,6 @@ def test_endomorphism_lift_is_the_unique_pinned_extension(template):
 
 
 # -- golden tables ----------------------------------------------------
-
-
-def directed_three_cycle():
-    return RelationalStructure(
-        ["0", "1", "2"], [("E", 2, [("0", "1"), ("1", "2"), ("2", "0")])])
 
 
 GOLDEN_TEMPLATES = {"2cycle": two_cycle, "leq": leq_template,
