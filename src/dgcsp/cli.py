@@ -227,12 +227,12 @@ def cmd_lift(args):
         print("verified")
     if args.output:
         rows = {}
+        verts = gad.digraph.vertices
         for s, op in sorted(lifted.items()):
             if n ** op.arity > 200000:
                 raise UsageError(
                     f"materializing {s} needs {n ** op.arity} rows; "
                     "drop --output for a summary only")
-            verts = gad.digraph.vertices
             rows[s] = {"arity": op.arity,
                        "map": [[*prefix, y, value] for prefix in
                                itertools.product(verts, repeat=op.arity - 1)
