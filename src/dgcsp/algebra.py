@@ -280,15 +280,15 @@ def kkvw_system(sym3="u", sym4="v"):
                           u.identities + v.identities + (link,), [sym3, sym4])
 
 
-def cyclic_system(p, symbol="c"):
+def cyclic_system(p):
     """Cyclic term (Barto and Kozik): idempotent, and unchanged by
     rotating its arguments, c(x1,...,xp) = c(x2,...,xp,x1).  Needs
     arity at least 2."""
     if p < 2:
         raise ValueError(f"a cyclic term needs arity >= 2, got {p}")
     xs = tuple(f"x{i}" for i in range(1, p + 1))
-    rotated = Identity(Term(symbol, xs), Term(symbol, xs[1:] + xs[:1]))
-    return IdentitySystem({symbol: p}, [rotated], [symbol])
+    rotated = Identity(Term("c", xs), Term("c", xs[1:] + xs[:1]))
+    return IdentitySystem({"c": p}, [rotated], ["c"])
 
 
 def majority_system(symbol="maj"):

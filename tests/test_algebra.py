@@ -55,11 +55,11 @@ def test_parse_identity_file():
 
 
 def test_parse_round_trip_through_str():
-    sys_ = three_permutability_system()
-    again = IdentitySystem.parse(str(sys_))
-    assert again.symbols == sys_.symbols
-    assert again.identities == sys_.identities
-    assert again.idempotent == sys_.idempotent
+    for sys_ in (three_permutability_system(), cyclic_system(3)):
+        again = IdentitySystem.parse(str(sys_))
+        assert again.symbols == sys_.symbols
+        assert again.identities == sys_.identities
+        assert again.idempotent == sys_.idempotent
 
 
 def test_parse_rejects_garbage():
@@ -94,9 +94,6 @@ def test_cyclic_system_rotates_its_arguments():
     assert system.symbols == {"c": 3}
     assert [str(i) for i in system.identities] == \
         ["c(x1,x2,x3) = c(x2,x3,x1)"]
-    again = IdentitySystem.parse(str(system))
-    assert again.identities == system.identities
-    assert again.idempotent == system.idempotent
     with pytest.raises(ValueError):
         cyclic_system(1)
 
@@ -106,7 +103,6 @@ def test_no_cyclic_ternary_term_on_the_directed_three_cycle():
     polymorphism would give an edge between equal values, c(0, 1, 2) and
     c(1, 2, 0), and the 3-cycle has no loop."""
     assert find_interpretations(three_cycle(), cyclic_system(3)) is None
-    assert find_interpretations(two_cycle(), cyclic_system(3)) is not None
 
 
 def test_kkvw_system_round_trips_through_the_file_format():
