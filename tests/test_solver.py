@@ -1,9 +1,15 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcsp import algebra
+from dgcsp.gadget import build_gadget
+from dgcsp.reductions import forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
                           digraph_hom, digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import Digraph, RelationalStructure
@@ -222,3 +228,98 @@ def test_solver_matches_brute_force(case):
         with pytest.raises(BudgetExhausted):
             inst.solve_all(budget=nodes[0] - 1)
     assert inst.solve() == (sols[0] if sols else None)
+
+
+# -- pinned mid-size searches --------------------------------------------
+
+def _k3():
+    vs = ["0", "1", "2"]
+    return RelationalStructure(
+        vs, [("E", 2, [(a, b) for a in vs for b in vs if a != b])])
+
+
+def _two_tree(n, seed, k4_first=False):
+    """A seeded 2-tree on n vertices with random edge directions; with
+    ``k4_first`` a K4 hangs off it, ahead of it in variable order."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for v in range(3, n):
+        edges += [(u, v) for u in rng.choice(edges)]
+    tuples = [(f"x{u}", f"x{v}") if rng.random() < 0.5 else (f"x{v}", f"x{u}")
+              for u, v in edges]
+    domain = [f"x{i}" for i in range(n)]
+    if k4_first:
+        kn = [f"a{i}" for i in range(4)]
+        tuples = [(a, b) for i, a in enumerate(kn) for b in kn[i + 1:]] \
+            + [("a3", "x0")] + tuples
+        domain = kn + domain
+    return RelationalStructure(domain, [("E", 2, tuples)])
+
+
+def _odd_cycle(n, seed):
+    rng = random.Random(seed)
+    vs = [f"c{i}" for i in range(n)]
+    tuples = [(vs[i], vs[(i + 1) % n]) if rng.random() < 0.5
+              else (vs[(i + 1) % n], vs[i]) for i in range(n)]
+    return RelationalStructure(vs, [("E", 2, tuples)])
+
+
+def _forward_instance(instance, template):
+    g = forward_translate(instance, template).digraph
+    return HomInstance(g.as_structure(),
+                       build_gadget(template).digraph.as_structure())
+
+
+def _indicator_instance(monkeypatch, structure, system):
+    """The solver instance that ``find_interpretations`` builds."""
+    made = []
+
+    class Recording(HomInstance):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(algebra, "HomInstance", Recording)
+    algebra.find_interpretations(structure, system)
+    (inst,) = made
+    return inst
+
+
+def _transitive_tournament(n):
+    d = [str(i) for i in range(n)]
+    return RelationalStructure(
+        d, [("E", 2, [(a, b) for i, a in enumerate(d) for b in d[i + 1:]])])
+
+
+PINNED_SEARCHES = {
+    # name: (instance builder, sha256 of the first solution, nodes)
+    "k3-2tree-n50": (
+        lambda mp: _forward_instance(_two_tree(50, 1), _k3()),
+        "2a2b92f372eaa9089fcdc70c4a04f45138729b119a4c797ff3b8756b07d88fea",
+        2),
+    "k3-k4first-n30": (
+        lambda mp: _forward_instance(_two_tree(30, 1, k4_first=True), _k3()),
+        None, 9),
+    "2cycle-odd-cycle-21": (
+        lambda mp: _forward_instance(_odd_cycle(21, 1), two_cycle()),
+        None, 2),
+    "T5-wnu3-indicator": (
+        lambda mp: _indicator_instance(mp, _transitive_tournament(5),
+                                       algebra.wnu_system(3)),
+        "181c0e9a2761f357a104c24f5519431718eca6c891dcccf00b4f332fb0faf565",
+        80),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_pinned_search(name, monkeypatch):
+    """The first solution (by digest, or None) and the exact node count
+    of four mid-size searches, too big for the brute-force oracle."""
+    build, digest, nodes = PINNED_SEARCHES[name]
+    inst = build(monkeypatch)
+    sols = inst.solve_all(budget=nodes, limit=1)
+    got = (hashlib.sha256(json.dumps(sorted(sols[0].items())).encode())
+           .hexdigest() if sols else None)
+    assert got == digest
+    with pytest.raises(BudgetExhausted):
+        inst.solve_all(budget=nodes - 1, limit=1)
