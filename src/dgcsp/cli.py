@@ -77,8 +77,11 @@ def _dump(obj):
 
 def _emit(text, output):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -334,6 +337,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise UsageError(f"--budget must be at least 0, not {args.budget}")
         return args.fn(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

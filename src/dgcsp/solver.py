@@ -3,17 +3,19 @@
 Finds homomorphisms from a source structure to a target structure over
 the same signature.  Domains are bitmasks over target elements; before
 every branching decision each constraint is filtered to the values that
-still have a supporting target tuple, to a fixpoint.  Search order is
+still have a supporting target tuple, to a fixpoint (arc consistency,
+AC-3 style, with a set of pending constraints).  Search order is
 deterministic: smallest domain first (ties by variable position), values
-in target order.
+in target order.  The branching variable is found from one list of
+domain sizes per node, built and searched by builtins.
 
 Support is precomputed once per target relation and shared by every
 constraint on it.  For a binary relation each value has a bitmask of its
 in-neighbours and one of its out-neighbours, and a memo per direction
 maps a domain mask to the union of its values' neighbour masks, so a
-binary revision is two mask lookups and two ANDs.  Other arities scan
-the relation's tuples.  A leaf is checked against the relation's tuple
-set before it is reported.
+binary revision is two memo lookups and two ANDs, made inline in the
+propagation loop.  Other arities scan the relation's tuples.  A leaf is
+checked against the relation's tuple set before it is reported.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -149,28 +151,23 @@ class HomInstance:
     # -- propagation ---------------------------------------------------
 
     def _filter_constraint(self, masks, c):
-        """Keep only values with a supporting tuple; None on wipeout.
+        """Revise a constraint of arity other than 2 by scanning its
+        relation's tuples; None on wipeout.
 
         Returns the set of variable positions whose mask shrank.  Each
         position's support is taken from the masks as they were on entry.
         """
         scope = c.scope
-        if len(scope) == 2:
-            x0, x1 = scope
-            support = {x0: 0, x1: 0}
-            support[x0] |= c.support.project(0, masks[x1])
-            support[x1] |= c.support.project(1, masks[x0])
-        else:
-            support = dict.fromkeys(scope, 0)
-            for t in c.support.tuples:
-                ok = True
+        support = dict.fromkeys(scope, 0)
+        for t in c.support.tuples:
+            ok = True
+            for xi, vi in zip(scope, t):
+                if not (masks[xi] >> vi) & 1:
+                    ok = False
+                    break
+            if ok:
                 for xi, vi in zip(scope, t):
-                    if not (masks[xi] >> vi) & 1:
-                        ok = False
-                        break
-                if ok:
-                    for xi, vi in zip(scope, t):
-                        support[xi] |= 1 << vi
+                    support[xi] |= 1 << vi
         changed = set()
         for xi, sup in support.items():
             new = masks[xi] & sup
@@ -182,18 +179,58 @@ class HomInstance:
         return changed
 
     def _propagate(self, masks, queue=None):
-        """Filter all constraints to a fixpoint; False on wipeout."""
+        """Revise constraints to a fixpoint; False on wipeout.
+
+        A binary constraint is revised here: each side keeps the values
+        that the other side's mask, as it was on entry, supports (a
+        repeated scope ``(x, x)`` keeps the union of both projections).
+        A variable whose mask shrinks queues its other constraints.
+        """
+        constraints = self.constraints
+        watch = self._watch
         if queue is None:
-            pending = set(range(len(self.constraints)))
+            pending = set(range(len(constraints)))
         else:
             pending = set(queue)
         while pending:
             ci = pending.pop()
-            changed = self._filter_constraint(masks, self.constraints[ci])
-            if changed is None:
-                return False
-            for xi in changed:
-                for cj in self._watch[xi]:
+            c = constraints[ci]
+            if len(c.scope) != 2:
+                changed = self._filter_constraint(masks, c)
+                if changed is None:
+                    return False
+                for xi in changed:
+                    for cj in watch[xi]:
+                        if cj != ci:
+                            pending.add(cj)
+                continue
+            x0, x1 = c.scope
+            m0 = masks[x0]
+            m1 = masks[x1]
+            support = c.support
+            memo_in, memo_out = support.memos
+            new0 = memo_in.get(m1)
+            if new0 is None:
+                new0 = support.project(0, m1)
+            new1 = memo_out.get(m0)
+            if new1 is None:
+                new1 = support.project(1, m0)
+            if x0 == x1:
+                new0 = new1 = new0 | new1
+            new0 &= m0
+            new1 &= m1
+            if new0 != m0:
+                if not new0:
+                    return False
+                masks[x0] = new0
+                for cj in watch[x0]:
+                    if cj != ci:
+                        pending.add(cj)
+            if new1 != m1:
+                if not new1:
+                    return False
+                masks[x1] = new1
+                for cj in watch[x1]:
                     if cj != ci:
                         pending.add(cj)
         return True
@@ -241,20 +278,18 @@ class HomInstance:
         node = masks
         while True:
             if node is not None:
-                # branch on the unassigned variable with the smallest domain
-                best = -1
-                best_size = None
-                for xi, m in enumerate(node):
-                    size = m.bit_count()
-                    if size > 1 and (best_size is None or size < best_size):
-                        best, best_size = xi, size
-                if best < 0:
+                # branch on the first variable with the smallest domain
+                # above one value
+                sizes = list(map(int.bit_count, node))
+                best_size = min(set(sizes) - {1}, default=0)
+                if not best_size:
                     assignment = [m.bit_length() - 1 for m in node]
                     if self._verify(assignment):
                         out.append(tuple(assignment))
                     if len(out) == limit:
                         return out
                 else:
+                    best = sizes.index(best_size)
                     stack.append((node, best, node[best]))
             if not stack:
                 return out

@@ -159,6 +159,44 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "budget of 3 nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "backward", "poly", "core",
+                                     "lift"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
+    inputs = write_json(tmp_path, "c3.json", {
+        "domain": ["a", "b", "c"],
+        "relations": [{"name": "E", "arity": 2,
+                       "tuples": [["a", "b"], ["b", "c"], ["c", "a"]]}]})
+    args = {"solve": ["--input", inputs], "backward": ["--input", inputs],
+            "poly": ["--wnu", "3"], "core": [], "lift": ["--wnu", "3"]}
+    assert main([command, "2cycle", *args[command], "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be at least 0, not -5\n"
+
+
+def test_zero_budget_is_allowed(tmp_path, capsys):
+    """Root propagation can answer without a search node."""
+    inputs = write_json(tmp_path, "x.json", {
+        "domain": ["x"],
+        "relations": [{"name": "R", "arity": 1, "tuples": [["x"]]}]})
+    assert main(["solve", "one-element", "--input", inputs,
+                 "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"x": "a"}
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "2cycle"],
+    ["poly", "leq", "--wnu", "3"],
+    ["lift", "leq", "--wnu", "3"],
+], ids=["build", "poly", "lift"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
+    path = str(tmp_path / "missing" / "x.json")
+    assert main([*args, "--output", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("obj", [
     {"domain": ["0", "1"],
      "relations": [{"name": "E", "arity": "2", "tuples": [["0", "1"]]}]},
