@@ -15,8 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .solver import DEFAULT_BUDGET, HomInstance
-from .structures import (RelationalStructure, SizeGuardError, UnionFind,
-                         tuple_name)
+from .structures import RelationalStructure, SizeGuardError, UnionFind
 from .templates import zigzag_digraph_template
 
 
@@ -269,15 +268,15 @@ def wnu_system(m, symbol="w"):
     return IdentitySystem({symbol: m}, idents, [symbol])
 
 
-def kkvw_system(sym3="u", sym4="v"):
+def kkvw_system():
     """Bounded width (Kozik, Krokhin, Valeriote and Willard): idempotent
     weak near-unanimity operations of arities 3 and 4 that agree on
     one-off arguments, u(y,x,x) = v(y,x,x,x)."""
-    u, v = wnu_system(3, sym3), wnu_system(4, sym4)
-    link = Identity(Term(sym3, ("y", "x", "x")),
-                    Term(sym4, ("y", "x", "x", "x")))
-    return IdentitySystem({sym3: 3, sym4: 4},
-                          u.identities + v.identities + (link,), [sym3, sym4])
+    u, v = wnu_system(3, "u"), wnu_system(4, "v")
+    link = Identity(Term("u", ("y", "x", "x")),
+                    Term("v", ("y", "x", "x", "x")))
+    return IdentitySystem({"u": 3, "v": 4},
+                          u.identities + v.identities + (link,), ["u", "v"])
 
 
 def cyclic_system(p):
@@ -291,143 +290,119 @@ def cyclic_system(p):
     return IdentitySystem({"c": p}, [rotated], ["c"])
 
 
-def majority_system(symbol="maj"):
+def majority_system():
     x, y = "x", "y"
-    t = lambda *args: Term(symbol, args)
+    t = lambda *args: Term("maj", args)
     v = lambda n: Term(None, (n,))
     idents = [
         Identity(t(y, x, x), v(x)),
         Identity(t(x, y, x), v(x)),
         Identity(t(x, x, y), v(x)),
     ]
-    return IdentitySystem({symbol: 3}, idents, [symbol])
+    return IdentitySystem({"maj": 3}, idents, ["maj"])
 
 
-def maltsev_system(symbol="p"):
-    t = lambda *args: Term(symbol, args)
+def maltsev_system():
+    t = lambda *args: Term("p", args)
     v = lambda n: Term(None, (n,))
     idents = [
         Identity(t("y", "x", "x"), v("y")),
         Identity(t("x", "x", "y"), v("y")),
     ]
-    return IdentitySystem({symbol: 3}, idents, [symbol])
+    return IdentitySystem({"p": 3}, idents, ["p"])
 
 
-def three_permutability_system(sym1="p1", sym2="p2"):
-    t1 = lambda *args: Term(sym1, args)
-    t2 = lambda *args: Term(sym2, args)
+def three_permutability_system():
+    t1 = lambda *args: Term("p1", args)
+    t2 = lambda *args: Term("p2", args)
     v = lambda n: Term(None, (n,))
     idents = [
         Identity(t1("x", "y", "y"), v("x")),
         Identity(t2("x", "x", "y"), v("y")),
         Identity(t1("x", "x", "y"), t2("x", "y", "y")),
     ]
-    return IdentitySystem({sym1: 3, sym2: 3}, idents, [sym1, sym2])
+    return IdentitySystem({"p1": 3, "p2": 3}, idents, ["p1", "p2"])
 
 
-def commutative_idempotent_binary_system(symbol="f"):
+def commutative_idempotent_binary_system():
     """A binary symmetric idempotent operation."""
-    t = lambda *args: Term(symbol, args)
+    t = lambda *args: Term("f", args)
     idents = [Identity(t("x", "y"), t("y", "x"))]
-    return IdentitySystem({symbol: 2}, idents, [symbol])
+    return IdentitySystem({"f": 2}, idents, ["f"])
 
 
 # ---------------------------------------------------------------------
 # indicator search
 
 
-def _indicator_var(symbol, args):
-    return f"{symbol}{tuple_name(args)}"
+MAX_INDICATOR_VARIABLES = 200_000
 
 
-def find_interpretations(structure, system, budget=DEFAULT_BUDGET,
-                         max_variables=200000):
+def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
     """Search for polymorphisms of a structure satisfying an identity
     system; returns symbol -> table, or None.
 
-    One variable per symbol and argument tuple; identities contribute
-    variable merges and constant pins, the polymorphism condition
-    contributes the constraints.  The search is joint over all symbols.
+    One indicator per symbol and argument tuple, keyed ``(symbol,
+    args)``.  Identities merge indicators into classes and pin classes to
+    constants: every merge is made before any pin is placed.  Each class
+    is one solver variable, numbered in the order its first indicator
+    appears, and the polymorphism condition contributes the constraints.
+    The search is joint over all symbols.
     """
     domain = structure.domain
     total = sum(len(domain) ** ar for ar in system.symbols.values())
-    if total > max_variables:
+    if total > MAX_INDICATOR_VARIABLES:
         raise SizeGuardError(
             f"indicator construction needs {total} variables "
-            f"(bound {max_variables})")
-
-    variables = []
-    for s, ar in system.symbols.items():
-        for args in itertools.product(domain, repeat=ar):
-            variables.append(_indicator_var(s, args))
-
-    rels = []
-    for r in structure.relations:
-        scopes = []
-        for s, ar in system.symbols.items():
-            for combo in itertools.product(r.tuples, repeat=ar):
-                scopes.append(tuple(
-                    _indicator_var(s, tuple(combo[i][j] for i in range(ar)))
-                    for j in range(r.arity)))
-        rels.append((r.name, r.arity, scopes))
+            f"(bound {MAX_INDICATOR_VARIABLES})")
 
     uf = UnionFind()
-    pins = {}
-
-    def pin(node, value):
-        root = uf.find(node)
-        if root in pins and pins[root] != value:
-            return False
-        pins[root] = value
-        return True
-
-    ok = True
-    for s in system.idempotent:
-        for a in domain:
-            node = _indicator_var(s, (a,) * system.symbols[s])
-            ok = ok and pin(node, a)
+    pinned = [((s, (a,) * system.symbols[s]), a)
+              for s in system.idempotent for a in domain]
     for ident in system.identities:
         vs = sorted(ident.variables())
+        l, r = ident.lhs, ident.rhs
+        if l.symbol is None:
+            l, r = r, l
         for values in itertools.product(domain, repeat=len(vs)):
             assignment = dict(zip(vs, values))
-            l, r = ident.lhs, ident.rhs
-            if l.symbol is None and r.symbol is None:
+            if l.symbol is None:
                 if assignment[l.args[0]] != assignment[r.args[0]]:
                     return None
                 continue
-            if l.symbol is None:
-                l, r = r, l
-            lnode = _indicator_var(l.symbol,
-                                   tuple(assignment[v] for v in l.args))
+            lnode = (l.symbol, tuple(assignment[v] for v in l.args))
             if r.symbol is None:
-                ok = ok and pin(lnode, assignment[r.args[0]])
+                pinned.append((lnode, assignment[r.args[0]]))
             else:
-                rnode = _indicator_var(r.symbol,
-                                       tuple(assignment[v] for v in r.args))
-                ra, rb = uf.find(lnode), uf.find(rnode)
-                if ra != rb:
-                    root = uf.union(lnode, rnode)
-                    for old in (ra, rb):
-                        if old in pins and old != root:
-                            value = pins.pop(old)
-                            ok = ok and pin(root, value)
-    if not ok:
-        return None
+                uf.union(lnode, (r.symbol,
+                                 tuple(assignment[v] for v in r.args)))
 
-    rep = {v: uf.find(v) for v in variables}
-    quot_vars = list(dict.fromkeys(rep[v] for v in variables))
-    quot_rels = [(name, ar, [tuple(rep[x] for x in scope) for scope in scopes])
-                 for name, ar, scopes in rels]
-    source = RelationalStructure(quot_vars, quot_rels)
-    quot_pins = {root: val for root, val in pins.items()}
+    var = {}        # indicator -> solver variable, one per class
+    first = {}      # class root -> solver variable
+    for s, ar in system.symbols.items():
+        for args in itertools.product(domain, repeat=ar):
+            var[s, args] = first.setdefault(uf.find((s, args)), len(first))
+    pins = {}
+    for node, value in pinned:
+        if pins.setdefault(var[node], value) != value:
+            return None
 
-    sol = HomInstance(source, structure, pins=quot_pins).solve(budget)
+    rels = [(r.name, r.arity,
+             [tuple([var[s, column] for column in zip(*combo)])
+              for s, ar in system.symbols.items()
+              for combo in itertools.product(r.tuples, repeat=ar)])
+            for r in structure.relations]
+    source = RelationalStructure(range(len(first)), rels)
+    names = source.domain
+    sol = HomInstance(source, structure,
+                      pins={names[x]: value for x, value in pins.items()}
+                      ).solve(budget)
     if sol is None:
         return None
 
     out = {}
     for s, ar in system.symbols.items():
-        mapping = {args: sol[rep[_indicator_var(s, args)]]
+        mapping = {args: sol[names[var[s, args]]]
                    for args in itertools.product(domain, repeat=ar)}
         out[s] = OperationTable(domain, ar, mapping)
 
@@ -503,16 +478,16 @@ def zigzag_operations():
 # endomorphisms and cores
 
 
-def endomorphisms(structure, budget=DEFAULT_BUDGET, domains=None, limit=None):
+def endomorphisms(structure, budget=DEFAULT_BUDGET, limit=None):
     """All homomorphisms of a structure to itself, in canonical order."""
-    inst = HomInstance(structure, structure, domains=domains)
+    inst = HomInstance(structure, structure)
     return inst.solve_all(budget=budget, limit=limit)
 
 
-def is_core(structure, budget=DEFAULT_BUDGET, domains=None):
+def is_core(structure, budget=DEFAULT_BUDGET):
     """Whether every endomorphism is surjective."""
     n = len(structure.domain)
-    for e in endomorphisms(structure, budget=budget, domains=domains):
+    for e in endomorphisms(structure, budget=budget):
         if len(set(e.values())) != n:
             return False
     return True

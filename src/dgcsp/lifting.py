@@ -234,16 +234,25 @@ def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
             raise UnliftableSystemError(
                 f"identity {ident} is unbalanced and uses more than two "
                 "variables")
-    _check_interpretations(system, interps, gadget.template,
-                           "interpretation", " on the template")
-    zz = zigzag_digraph_template()
-    zigzag_interps = find_interpretations(zz, system, budget=budget)
+    template = gadget.template
+    ok, why = check_identities(interps, system, domain=template.domain)
+    if not ok:
+        raise UnliftableSystemError(
+            "interpretations do not satisfy the system on the template: "
+            f"{why}")
+    for s in system.symbols:
+        bad = interps[s].polymorphism_failure(template)
+        if bad is not None:
+            raise UnliftableSystemError(
+                f"interpretation of {s} is not a polymorphism: {bad}")
+    # the search checks its own tables: they satisfy the system on the
+    # zigzag and are polymorphisms, or it raises AssertionError
+    zigzag_interps = find_interpretations(zigzag_digraph_template(), system,
+                                          budget=budget)
     if zigzag_interps is None:
         raise UnliftableSystemError(
             "the zigzag admits no interpretations of this system; "
             "the lift is not defined")
-    _check_interpretations(system, zigzag_interps, zz,
-                           "zigzag interpretation", "")
 
     order = GadgetOrder(gadget)
     groups = _last_argument_groups(gadget)
@@ -254,20 +263,6 @@ def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
                                zigzag_interps[s]),
                 name=f"{s}-lift")
             for s, m in system.symbols.items()}
-
-
-def _check_interpretations(system, interps, structure, what, where):
-    """Raise :class:`UnliftableSystemError` unless ``interps`` satisfies
-    the system on ``structure`` and consists of its polymorphisms."""
-    ok, why = check_identities(interps, system, domain=structure.domain)
-    if not ok:
-        raise UnliftableSystemError(
-            f"{what}s do not satisfy the system{where}: {why}")
-    for s in system.symbols:
-        bad = interps[s].polymorphism_failure(structure)
-        if bad is not None:
-            raise UnliftableSystemError(
-                f"{what} of {s} is not a polymorphism: {bad}")
 
 
 def _last_argument_groups(gadget):

@@ -588,11 +588,11 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
                    col, tuple(comps))
 
 
-def trivial_instance(template, variable="x0"):
+def trivial_instance(template):
     """The one-variable instance with every relation constraining it."""
-    rels = [(r.name, r.arity, [(variable,) * r.arity])
+    rels = [(r.name, r.arity, [("x0",) * r.arity])
             for r in template.relations]
-    return RelationalStructure([variable], rels)
+    return RelationalStructure(["x0"], rels)
 
 
 def materialize(outcome, template):

@@ -315,10 +315,10 @@ def find_homomorphism(source, target, pins=None, domains=None,
     return HomInstance(source, target, pins=pins, domains=domains).solve(budget)
 
 
-def digraph_hom(g, h, pins=None, domains=None, budget=DEFAULT_BUDGET):
+def digraph_hom(g, h, pins=None, budget=DEFAULT_BUDGET):
     """First digraph homomorphism g -> h, or None."""
     return find_homomorphism(g.as_structure(), h.as_structure(),
-                             pins=pins, domains=domains, budget=budget)
+                             pins=pins, budget=budget)
 
 
 def digraph_hom_exists(g, h, pins=None, budget=DEFAULT_BUDGET):

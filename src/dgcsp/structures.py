@@ -2,11 +2,13 @@
 
 Everything downstream works over two kinds of objects: finite relational
 structures (a domain plus named relations of fixed arity) and finite
-digraphs.  Both are immutable once built and keep their contents in a
-canonical order so that serialization and search are deterministic.
+digraphs, each of which is a structure with one binary relation.  Both
+are immutable once built and keep their contents in a canonical order so
+that serialization and search are deterministic.
 
 Element and vertex names are strings.  Relation tuples are stored as
-tuples of element names, sorted by domain position.
+tuples of element names, sorted by domain position.  Only the structure
+constructor makes them so; a digraph is built through it.
 """
 
 from __future__ import annotations
@@ -67,16 +69,21 @@ class RelationalStructure:
 
     The domain order is significant: it fixes tuple ordering, tie-breaking
     in searches and the edge order of the gadget construction.
+
+    This constructor is the one place where names become strings and
+    relations become canonical: it rejects duplicate elements, unknown
+    elements and tuples of the wrong length, removes repeated tuples and
+    sorts the rest by domain position.  The domain may be empty.
     """
 
     def __init__(self, domain, relations):
-        domain = tuple(str(x) for x in domain)
-        if not domain:
-            raise InvalidStructureError("domain must be nonempty")
-        if len(set(domain)) != len(domain):
-            raise InvalidStructureError("duplicate domain elements")
+        domain = tuple(map(str, domain))
+        index = {x: i for i, x in enumerate(domain)}
+        if len(index) != len(domain):
+            x = next(x for i, x in enumerate(domain) if index[x] != i)
+            raise InvalidStructureError(f"element {x!r} is listed twice")
         self.domain = domain
-        self._index = {name: i for i, name in enumerate(domain)}
+        self._index = index
 
         rels = []
         seen = set()
@@ -92,23 +99,40 @@ class RelationalStructure:
             if arity < 1:
                 raise InvalidStructureError(f"relation {name!r} has arity {arity}")
             canon = set()
-            for t in tuples:
-                t = tuple(str(x) for x in t)
-                if len(t) != arity:
-                    raise InvalidStructureError(
-                        f"tuple {t} does not match arity {arity} of {name!r}")
-                for x in t:
-                    if x not in self._index:
+            if arity == 2:
+                # the digraph case, unrolled: most tuples built are edges
+                for t in tuples:
+                    try:
+                        u, v = t
+                    except ValueError:
                         raise InvalidStructureError(
-                            f"tuple element {x!r} not in domain")
-                canon.add(t)
-            ordered = tuple(sorted(canon, key=self._tuple_key))
-            rels.append(Relation(name, int(arity), ordered))
+                            f"tuple {tuple(t)} of {name!r} does not have "
+                            "arity 2") from None
+                    u, v = str(u), str(v)
+                    if u not in index or v not in index:
+                        x = u if u not in index else v
+                        raise InvalidStructureError(
+                            f"tuple {(u, v)} of {name!r} uses {x!r}, which "
+                            "is not an element")
+                    canon.add((u, v))
+                ordered = sorted(canon, key=lambda e: (index[e[0]], index[e[1]]))
+            else:
+                for t in tuples:
+                    t = tuple(map(str, t))
+                    if len(t) != arity:
+                        raise InvalidStructureError(
+                            f"tuple {t} of {name!r} does not have arity {arity}")
+                    for x in t:
+                        if x not in index:
+                            raise InvalidStructureError(
+                                f"tuple {t} of {name!r} uses {x!r}, which is "
+                                "not an element")
+                    canon.add(t)
+                ordered = sorted(
+                    canon, key=lambda t: tuple(map(index.__getitem__, t)))
+            rels.append(Relation(name, int(arity), tuple(ordered)))
         self.relations = tuple(rels)
         self._by_name = {r.name: r for r in self.relations}
-
-    def _tuple_key(self, t):
-        return tuple(self._index[x] for x in t)
 
     # -- basic queries -------------------------------------------------
 
@@ -220,26 +244,20 @@ class RelationalStructure:
 class Digraph:
     """A finite directed graph with named vertices.
 
-    Vertex order is significant (deterministic iteration); edges are kept
-    sorted by endpoint positions with duplicates removed.
+    A digraph is a structure with one binary relation ``E``, built once
+    by :class:`RelationalStructure`: vertex names become strings, and
+    edges are kept without repeats, sorted by endpoint positions.  Vertex
+    order is significant (deterministic iteration).
     """
 
     def __init__(self, vertices, edges):
-        vertices = tuple(str(v) for v in vertices)
-        if len(set(vertices)) != len(vertices):
-            raise InvalidStructureError("duplicate vertices")
-        self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
-        canon = set()
-        for e in edges:
-            u, v = e
-            u, v = str(u), str(v)
-            if u not in self._index or v not in self._index:
-                raise InvalidStructureError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-            canon.add((u, v))
-        self.edges = tuple(sorted(canon, key=lambda e: (self._index[e[0]], self._index[e[1]])))
-        out = {v: [] for v in vertices}
-        inc = {v: [] for v in vertices}
+        structure = self._structure = RelationalStructure(
+            vertices, [("E", 2, edges)])
+        self.vertices = structure.domain
+        self.edges = structure.relations[0].tuples
+        self._index = structure._index
+        out = {v: [] for v in self.vertices}
+        inc = {v: [] for v in self.vertices}
         for u, v in self.edges:
             out[u].append(v)
             inc[v].append(u)
@@ -309,13 +327,10 @@ class Digraph:
         return comps
 
     def as_structure(self):
-        """View this digraph as a structure with one binary relation.
-
-        The edge relation may be empty here; this is the internal bridge
-        used to feed digraphs to the homomorphism solver.
-        """
-        return RelationalStructure(
-            self.vertices, [("E", 2, list(self.edges))])
+        """This digraph as the structure it was built from: the vertices
+        as its domain and the edges as its one binary relation ``E``,
+        which may be empty.  Nothing is copied."""
+        return self._structure
 
     @classmethod
     def from_json(cls, obj):
@@ -474,7 +489,3 @@ def collapse_to_single_relation(structure):
     out = RelationalStructure(structure.domain, [("R", at, combined)])
     return CollapsedTemplate(out, tuple(offsets))
 
-
-def tuple_name(names):
-    """Render a tuple of element names as a single element name."""
-    return "(" + ",".join(names) + ")"

@@ -230,7 +230,10 @@ def test_string_tuples_are_not_read_as_pairs(tmp_path, capsys):
     {"vertices": "ab", "edges": [["a", "b"]]},
     {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
     {"vertices": ["a", "b"], "edges": ["ab"]},
-], ids=["string-vertices", "three-vertex-edge", "string-edge"])
+    {"vertices": ["a", "b", "a"], "edges": []},
+    {"vertices": ["a", "b"], "edges": [["a", "z"]]},
+], ids=["string-vertices", "three-vertex-edge", "string-edge",
+        "duplicate-vertex", "unknown-vertex"])
 def test_mistyped_digraph_is_a_usage_error(tmp_path, capsys, obj):
     path = write_json(tmp_path, "bad.json", obj)
     assert main(["backward", "2cycle", "--input", path]) == 2
@@ -238,6 +241,12 @@ def test_mistyped_digraph_is_a_usage_error(tmp_path, capsys, obj):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_empty_digraph_file_maps_to_the_gadget(tmp_path, capsys):
+    path = write_json(tmp_path, "empty.json", {"vertices": [], "edges": []})
+    assert main(["backward", "2cycle", "--input", path]) == 0
+    assert capsys.readouterr().out.startswith("YES\n")
 
 
 @pytest.mark.parametrize("obj", [

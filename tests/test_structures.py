@@ -1,8 +1,14 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgcsp.reductions import LevelingFailure, compute_levels
+from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure,
+                              compute_levels, stage3a_from_json,
+                              stage3a_to_json)
+from dgcsp.solver import digraph_hom
 from dgcsp.structures import (Digraph, EmptyRelationError,
                               InvalidStructureError, OrientedPathSpec,
                               RelationalStructure,
@@ -23,6 +29,24 @@ def test_structure_rejects_bad_tuples():
         RelationalStructure(["a"], [("R", 1, [("b",)])])
     with pytest.raises(InvalidStructureError):
         RelationalStructure(["a", "a"], [("R", 1, [("a",)])])
+
+
+@pytest.mark.parametrize("vertices, edges, named", [
+    (["a", "b", "a"], [], "'a'"),
+    (["a", "b"], [("a", "z")], "'z'"),
+    (["a", "b"], [("a", "b", "a")], "arity 2"),
+])
+def test_digraph_errors_name_the_offender(vertices, edges, named):
+    with pytest.raises(InvalidStructureError, match=named):
+        Digraph(vertices, edges)
+
+
+def test_empty_digraph_is_an_empty_structure():
+    g = Digraph([], [])
+    assert g.as_structure() == RelationalStructure([], [("E", 2, [])])
+    loop = Digraph(["a"], [("a", "a")])
+    assert digraph_hom(g, loop) == {}
+    assert digraph_hom(loop, g) is None
 
 
 def test_structure_json_round_trip():
@@ -69,7 +93,55 @@ def test_digraph_as_structure_and_back():
     d = Digraph(g.domain, g.relation("E").tuples)
     s = d.as_structure()
     assert s.relation("E").tuples == d.edges
+    assert d.as_structure() is s
     assert Digraph.from_json(d.to_json()) == d
+
+
+@st.composite
+def named_digraphs(draw):
+    """Vertex names, all ints or all strings, and an edge list over them
+    with repeated edges, in shuffled order."""
+    if draw(st.booleans()):
+        names = st.integers(-3, 40)
+    else:
+        names = st.text("abxy01", min_size=1, max_size=3)
+    vertices = draw(st.lists(names, unique=True, min_size=1, max_size=8))
+    edges = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                    st.sampled_from(vertices)), max_size=20))
+    repeats = draw(st.integers(0, len(edges)))
+    return vertices, draw(st.permutations(edges + edges[:repeats]))
+
+
+def json_round_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(named_digraphs(), st.data())
+def test_digraph_is_its_edge_structure_and_survives_json(case, data):
+    vertices, edges = case
+    g = Digraph(vertices, edges)
+    s = RelationalStructure(vertices, [("E", 2, edges)])
+    assert g.as_structure() == s
+    position = {str(v): i for i, v in enumerate(vertices)}
+    assert g.vertices == tuple(map(str, vertices))
+    assert g.edges == tuple(sorted(
+        {(str(u), str(v)) for u, v in edges},
+        key=lambda e: (position[e[0]], position[e[1]])))
+    assert Digraph.from_json(json_round_trip(g.to_json())) == g
+    if edges:
+        assert RelationalStructure.from_json(json_round_trip(s.to_json())) == s
+    entry = st.frozensets(st.sampled_from(g.vertices), min_size=1)
+    hyperedges = tuple(
+        GeneralizedHyperedge(entries, label)
+        for entries, label in data.draw(st.lists(st.tuples(
+            st.lists(entry, min_size=1, max_size=3).map(tuple),
+            st.none() | st.sampled_from(g.vertices)), max_size=4)))
+    equalities = tuple(data.draw(st.lists(st.tuples(
+        st.sampled_from(g.vertices), st.sampled_from(g.vertices)),
+        max_size=4)))
+    assert stage3a_from_json(json_round_trip(
+        stage3a_to_json(hyperedges, equalities))) == (hyperedges, equalities)
 
 
 def test_compute_levels_normalizes_per_component():
