@@ -73,10 +73,16 @@ def test_parse_rejects_garbage():
 
 def test_check_identities_finds_violation():
     proj = OperationTable.from_function(["0", "1"], 3, lambda x, y, z: x)
-    ok, why = check_identities({"w": proj}, wnu_system(3))
-    assert not ok
-    description, assignment = why
-    assert "w" in description and assignment
+    assert check_identities({"w": proj}, wnu_system(3)) == \
+        (False, ("w(y,x,x) = w(x,y,x)", {"x": "0", "y": "1"}))
+
+
+def test_check_identities_reports_a_bare_variable_side():
+    """The third projection passes the first two majority identities and
+    fails the last, whose right side is a bare variable."""
+    third = OperationTable.from_function(["0", "1"], 3, lambda x, y, z: z)
+    assert check_identities({"maj": third}, majority_system()) == \
+        (False, ("maj(x,x,y) = x", {"x": "0", "y": "1"}))
 
 
 def test_canned_systems_mark_idempotence():

@@ -506,7 +506,8 @@ GOLDEN_TEMPLATES = {"2cycle": two_cycle, "leq": leq_template,
                     "C3": directed_three_cycle}
 GOLDEN_SYSTEMS = {"wnu3": lambda: wnu_system(3), "majority": majority_system,
                   "binary": commutative_idempotent_binary_system,
-                  "wnu4": lambda: wnu_system(4)}
+                  "wnu4": lambda: wnu_system(4), "kkvw": kkvw_system,
+                  "cyclic3": lambda: cyclic_system(3)}
 
 # sha256 of every (arguments, symbol, value) line of the full lifted
 # tables, then of the case totals, in vertex order; the symmetric binary
@@ -518,6 +519,10 @@ GOLDEN_DIGESTS = {
         "61ba78bec618bfadac270bc0f910807ffc02ad8186fff749fd53829581eda8e7",
     ("2cycle", "wnu4"):
         "f4be5cd8148f8d5cf28f8945c76a378bdd6937be46711d094d03aa3e169b92f9",
+    ("2cycle", "kkvw"):
+        "2d6d8c0c39838db06471d930a90f9f92c236cb83249b87ab439c48e27eaf4369",
+    ("2cycle", "cyclic3"):
+        "ba5d0c256f164d87c8dd7fed26392c68c61fd6d59fb06413679b6b9a0f93905b",
     ("leq", "wnu3"):
         "b4255278ca7f69a705bd5c2f1f892c7917ef0f3af38cd7cb8de7b339b1345f3e",
     ("leq", "majority"):
@@ -554,6 +559,23 @@ def test_full_lifted_tables_are_pinned(template, system):
     lifted = lift_general(gadget, sysm, interp)
     assert full_table_digest(gadget, lifted) == \
         GOLDEN_DIGESTS[(template, system)]
+
+
+# the case of every entry of the 2-cycle's ternary weak near-unanimity
+# lift, over all its rows
+WNU3_CASES_ON_THE_TWO_CYCLE = {
+    "diagonal-mixed": 264, "diagonal-single": 288, "diagonal-zigzag": 248,
+    "elements": 8, "isolated-pair": 216, "isolated-set": 3672,
+    "multi-level": 3360, "split-low": 5760, "tuples": 8}
+
+
+def test_case_counts_of_a_full_lift_are_pinned(gad):
+    system = wnu_system(3)
+    w = lift_general(gad, system,
+                     find_interpretations(two_cycle(), system))["w"]
+    for prefix in itertools.product(gad.digraph.vertices, repeat=2):
+        w.row(prefix)
+    assert dict(w.case_counts) == WNU3_CASES_ON_THE_TWO_CYCLE
 
 
 def test_binary_symmetric_system_has_no_interpretation_on_the_two_cycle():
