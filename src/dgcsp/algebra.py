@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .solver import DEFAULT_BUDGET, HomInstance
 from .structures import RelationalStructure, SizeGuardError, UnionFind
@@ -81,21 +82,15 @@ class OperationTable:
             seen.update(row)
         return cls(sorted(seen), arity, mapping)
 
-    def is_idempotent(self):
-        return all(self(*((x,) * self.arity)) == x for x in self.domain)
-
     def polymorphism_failure(self, structure):
         """First relation tuple combination this operation breaks, or None."""
         for r in structure.relations:
+            related = frozenset(r.tuples)
             for combo in itertools.product(r.tuples, repeat=self.arity):
-                image = tuple(self(*(combo[i][j] for i in range(self.arity)))
-                              for j in range(r.arity))
-                if image not in r.tuples:
+                image = tuple(map(self._table.__getitem__, zip(*combo)))
+                if image not in related:
                     return (r.name, combo, image)
         return None
-
-    def is_polymorphism(self, structure):
-        return self.polymorphism_failure(structure) is None
 
 
 # ---------------------------------------------------------------------
@@ -113,10 +108,14 @@ class Term:
     def variables(self):
         return set(self.args)
 
-    def evaluate(self, interps, assignment):
+    def evaluator(self, interps, variables):
+        """This term as a function of a tuple of values, one per name in
+        ``variables`` and in that order."""
+        at = [variables.index(v) for v in self.args]
         if self.symbol is None:
-            return assignment[self.args[0]]
-        return interps[self.symbol](*(assignment[v] for v in self.args))
+            return itemgetter(*at)
+        f = interps[self.symbol]
+        return lambda values: f(*[values[i] for i in at])
 
     def __str__(self):
         if self.symbol is None:
@@ -243,11 +242,11 @@ def check_identities(interps, system, domain=None):
                 return False, (f"idempotent {s}", {"x": x})
     for ident in system.identities:
         vs = sorted(ident.variables())
+        lhs = ident.lhs.evaluator(interps, vs)
+        rhs = ident.rhs.evaluator(interps, vs)
         for values in itertools.product(domain, repeat=len(vs)):
-            assignment = dict(zip(vs, values))
-            if ident.lhs.evaluate(interps, assignment) != \
-                    ident.rhs.evaluate(interps, assignment):
-                return False, (str(ident), assignment)
+            if lhs(values) != rhs(values):
+                return False, (str(ident), dict(zip(vs, values)))
     return True, None
 
 

@@ -20,11 +20,14 @@ the lower level and relation-major when it picks the upper one, so the
 choice stays edge-compatible at both ends of the gadget.
 
 Values are computed a row at a time: a row fixes every argument but the
-last and holds the value for each last argument.  Within a row, the
-last arguments on one level share their level pattern, so the case, the
-zigzag's pick and the prefix's least vertex in the tie-breaking order
-are found once per level; only single-level tuples are evaluated one by
-one.
+last and holds the value for each last argument.  The last arguments
+fall into classes by level and by whether they have out- and in-edges.
+How a class is filled (its case, the zigzag's pick, the tie level and
+order) depends only on the prefix's levels and on whether it holds a
+vertex with no out-edge or one with no in-edge, so it is planned once
+per such pattern.  A row then fills its classes from precomputed ranks
+and the prefix's least vertices; only single-level tuples and isolated
+pairs are evaluated one by one.
 """
 
 from __future__ import annotations
@@ -132,9 +135,8 @@ def lift_endomorphism(gadget, phi):
                 f"map does not preserve the relation on {r}")
 
     op = LiftedOperation(gadget, 1, _row_evaluator(
-        gadget, GadgetOrder(gadget), _last_argument_groups(gadget),
-        _section_records(gadget), phi.__getitem__, lambda z: z),
-        name="endomorphism-lift")
+        gadget, GadgetOrder(gadget), _section_records(gadget),
+        phi.__getitem__, lambda z: z), name="endomorphism-lift")
     bad = polymorphism_failure_on_digraph(gadget.digraph, op)
     if bad is not None:
         raise LiftInvariantError(f"lift breaks edges: {bad}")
@@ -152,10 +154,11 @@ class LiftedOperation:
     A row is keyed by the first ``arity - 1`` arguments and holds one
     value per last argument, in the order of ``gadget.digraph.vertices``;
     ``row_evaluator`` maps such a prefix to the row's values and a
-    Counter of the cases that produced them.  :meth:`row` reads a row,
-    filling it on first use, and calls read their value from it.
-    ``case_counts`` sums the Counters, so it counts the entries of the
-    rows computed so far, not the distinct inputs seen.
+    mapping from the cases that produced them to their counts.
+    :meth:`row` reads a row, filling it on first use, and calls read
+    their value from it.  ``case_counts`` sums those counts, so it counts
+    the entries of the rows computed so far, not the distinct inputs
+    seen.
     """
 
     def __init__(self, gadget, arity, row_evaluator, name="lift"):
@@ -255,40 +258,45 @@ def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
             "the lift is not defined")
 
     order = GadgetOrder(gadget)
-    groups = _last_argument_groups(gadget)
     records = _section_records(gadget)
     return {s: LiftedOperation(
                 gadget, m,
-                _row_evaluator(gadget, order, groups, records, interps[s],
+                _row_evaluator(gadget, order, records, interps[s],
                                zigzag_interps[s]),
                 name=f"{s}-lift")
             for s, m in system.symbols.items()}
 
 
-def _last_argument_groups(gadget):
-    """The gadget's vertices as last arguments: grouped by level, then
-    by (has no out-edge, has no in-edge), each as (position, vertex)."""
-    g = gadget.digraph
-    levels = gadget.levels.levels
-    groups = {}
-    for i, y in enumerate(g.vertices):
-        flags = (not g.out_neighbors(y), not g.in_neighbors(y))
-        groups.setdefault(levels[y], {}).setdefault(flags, []).append((i, y))
-    return [(lam, sorted(classes.items()))
-            for lam, classes in sorted(groups.items())]
-
-
-def _row_evaluator(gadget, order, groups, records, f_elem, f_zig):
+def _row_evaluator(gadget, order, records, f_elem, f_zig):
     """The row function of one lifted symbol: a prefix (every argument
     but the last) to the values for every last argument, in vertex
-    order, and a Counter of their cases."""
+    order, and the counts of their cases.
+
+    The last arguments are classed by level and by whether they have
+    out- and in-edges, and each class is filled from a plan for the
+    prefix's pattern.  Classes that take their ranks in the same order
+    and tie to the same prefix entries are filled by one comprehension,
+    and one permutation puts the values in vertex order.  A row computes
+    only those entries' least ranks, the values of single-level entries
+    and the isolated pairs.
+    """
     g = gadget.digraph
     levels = gadget.levels.levels
     vertex_info = gadget.vertex_info
+    relation = frozenset(gadget.relation.tuples)
     low_rank, high_rank = order.low_rank, order.high_rank
     by_low, by_high = order.by_low, order.by_high
     n = len(g.vertices)
+    no_out = {v: not g.out_neighbors(v) for v in g.vertices}
+    no_in = {v: not g.in_neighbors(v) for v in g.vertices}
+    classes = {}    # (level, no out-edge, no in-edge) -> [(position, vertex)]
+    for i, y in enumerate(g.vertices):
+        classes.setdefault((levels[y], no_out[y], no_in[y]), []).append((i, y))
     zig_low = {}
+    plans = {}
+    # prefix path edges -> {last path edge: the target path's vertices,
+    # section spans and single sections}
+    targets = {}
 
     def picks_low(bits):
         """Whether the zigzag operation picks "00" over "10" on this
@@ -302,93 +310,176 @@ def _row_evaluator(gadget, order, groups, records, f_elem, f_zig):
             low = zig_low[bits] = z == "00"
         return low
 
-    def single_level(c):
-        infos = [vertex_info[x] for x in c]
-        kinds = {i.kind for i in infos}
-        if kinds == {"elem"}:
-            return elem_name(f_elem(*(i.element for i in infos))), "elements"
-        if kinds == {"tup"}:
-            r = tuple(f_elem(*col) for col in zip(*(i.rtuple for i in infos)))
-            if r not in gadget.relation.tuples:
-                raise LiftInvariantError(f"image tuple {r} leaves the relation")
-            return tup_name(r), "tuples"
-        if kinds == {"path"}:
-            # a single-level tuple that is not isolated is in the
-            # diagonal component: all its entries have out-edges, or all
-            # have in-edges
-            return _diagonal_value(gadget, order, f_elem, f_zig, c,
-                                   [records[x] for x in c], infos[0].level)
-        raise LiftInvariantError(
-            f"off-diagonal tuple on one level should be isolated: {c}")
-
-    def row(prefix):
-        plev = [levels[x] for x in prefix]
-        prefix_levels = set(plev)
-        p_no_out = any(not g.out_neighbors(x) for x in prefix)
-        p_no_in = any(not g.in_neighbors(x) for x in prefix)
-        distinct = set(prefix)
-        dmin = min(map(low_rank.__getitem__, distinct), default=n)
-        low_at, high_at = {}, {}
-        for x, lam in zip(prefix, plev):
-            low_at[lam] = min(low_at.get(lam, n), low_rank[x])
-            high_at[lam] = min(high_at.get(lam, n), high_rank[x])
-        values = [None] * n
-        cases = Counter()
-        for lam, classes in groups:
-            lvlset = sorted(prefix_levels | {lam})
+    def plan(plev, p_no_out, p_no_in):
+        """For prefixes on levels ``plev`` that hold a vertex with no
+        out-edge or not, and one with no in-edge or not: the rank fills,
+        the single-level classes, the rank cases' counts, the isolated
+        entries' places in fill order, and the permutation from fill
+        order, single-level classes last, to vertex order."""
+        fills = {}      # (high, tied prefix entries) -> positions, ranks
+        single = {}     # level -> entries
+        counts = Counter()
+        isolated = []
+        for (lam, y_no_out, y_no_in), entries in classes.items():
+            lvlset = sorted({*plev, lam})
             if len(lvlset) == 1:
                 case = None
             elif len(lvlset) == 2 and not picks_low(
                     tuple("00" if l == lvlset[0] else "10"
-                          for l in plev + [lam])):
+                          for l in plev + (lam,))):
                 # relation-major on the upper level
-                case, at = "split-high", lvlset[1]
-                rank, by_rank, const = high_rank, by_high, high_at.get(at, n)
+                case, high, at = "split-high", True, lvlset[1]
             else:
                 # element-major on the lowest level
                 case = "split-low" if len(lvlset) == 2 else "multi-level"
-                at = lvlset[0]
-                rank, by_rank, const = low_rank, by_low, low_at.get(at, n)
-            for (y_no_out, y_no_in), entries in classes:
-                if (p_no_out or y_no_out) and (p_no_in or y_no_in):
-                    # no edge of the product power touches these tuples,
-                    # so only the identities constrain their values
-                    for pos, y in entries:
-                        r = low_rank[y]
-                        v0 = by_low[r if r < dmin else dmin]
-                        if len(distinct) + (y not in distinct) != 2:
-                            values[pos] = v0
-                            cases["isolated-set"] += 1
-                            continue
-                        c = prefix + (y,)
-                        if picks_low(tuple("00" if x == v0 else "10"
-                                           for x in c)):
-                            values[pos] = v0
-                        else:
-                            values[pos] = next(x for x in c if x != v0)
-                        cases["isolated-pair"] += 1
-                elif case is None:
-                    for pos, y in entries:
-                        values[pos], c = single_level(prefix + (y,))
-                        cases[c] += 1
-                elif lam == at:
-                    for pos, y in entries:
-                        r = rank[y]
-                        values[pos] = by_rank[r if r < const else const]
-                    cases[case] += len(entries)
-                else:
-                    for pos, _ in entries:
-                        values[pos] = by_rank[const]
-                    cases[case] += len(entries)
-        return values, cases
+                high, at = False, lvlset[0]
+            if (p_no_out or y_no_out) and (p_no_in or y_no_in):
+                # no edge of the product power touches these tuples, so
+                # only the identities constrain their values
+                tie = (False, tuple(range(len(plev))))
+                ranks = [low_rank[y] for _, y in entries]
+                isolated += entries
+                counts["isolated-set"] += len(entries)
+            elif case is None:
+                single.setdefault(lam, []).extend(entries)
+                continue
+            else:
+                tie = (high, tuple(i for i, l in enumerate(plev) if l == at))
+                rank = high_rank if high else low_rank
+                # off the tie level every entry takes the least rank
+                ranks = [rank[y] if lam == at else n for _, y in entries]
+                counts[case] += len(entries)
+            fill = fills.setdefault(tie, ([], []))
+            fill[0].extend(pos for pos, _ in entries)
+            fill[1].extend(ranks)
+        steps, positions = [], []
+        for (high, tied), (pos, ranks) in fills.items():
+            steps.append((high_rank if high else low_rank, tied,
+                          by_high if high else by_low, ranks))
+            positions += pos
+        at_entry = {pos: i for i, pos in enumerate(positions)}
+        for entries in single.values():
+            positions += [pos for pos, _ in entries]
+        return (steps, [(lam, [y for _, y in entries])
+                        for lam, entries in single.items()],
+                counts, {y: at_entry[pos] for pos, y in isolated},
+                itemgetter(*sorted(range(n), key=positions.__getitem__)))
+
+    def row(prefix):
+        key = (tuple(map(levels.__getitem__, prefix)),
+               any(map(no_out.__getitem__, prefix)),
+               any(map(no_in.__getitem__, prefix)))
+        p = plans.get(key)
+        if p is None:
+            p = plans[key] = plan(*key)
+        steps, single, cases, isolated, to_vertex_order = p
+        values = []
+        for rank, tied, by_rank, ranks in steps:
+            c = min([rank[prefix[i]] for i in tied], default=n)
+            values += [by_rank[r if r < c else c] for r in ranks]
+        if single:
+            more = Counter()
+            for lam, ys in single:
+                values += single_level(prefix, lam, ys, more)
+            cases = {**cases, **more}
+        distinct = isolated and set(prefix)
+        if distinct and len(distinct) <= 2:
+            # a tuple with two distinct entries takes the zigzag's pick
+            # between them
+            pairs = ([y for y in isolated if y not in distinct]
+                     if len(distinct) == 1 else
+                     [y for y in dict.fromkeys(prefix) if y in isolated])
+            for y in pairs:
+                i = isolated[y]
+                v0, c = values[i], prefix + (y,)
+                if not picks_low(tuple("00" if x == v0 else "10"
+                                       for x in c)):
+                    values[i] = next(x for x in c if x != v0)
+            if pairs:
+                cases = {**cases, "isolated-pair": len(pairs)}
+                cases["isolated-set"] -= len(pairs)
+                if not cases["isolated-set"]:
+                    del cases["isolated-set"]
+        return to_vertex_order(values), cases
+
+    def image(columns, last):
+        """The relation tuple the template operation makes of the
+        prefix's tuples and the last one, coordinatewise."""
+        r = tuple(map(f_elem, *columns, last))
+        if r not in relation:
+            raise LiftInvariantError(
+                f"coordinatewise image {r} is not a relation tuple; the "
+                "template operation is not a polymorphism")
+        return r
+
+    def single_level(prefix, lam, ys, cases):
+        """The values at ``prefix + (y,)`` for last arguments ``ys`` on
+        the prefix's one level ``lam`` whose tuples are not isolated,
+        counting their cases.  Level 0 holds the elements, the top level
+        the relation tuples, and these map through the template
+        operation.  Path vertices, on the levels between, are in the
+        diagonal component: each takes the matching vertex of the first
+        section common to the tuple's entries, inside the target path of
+        their images."""
+        if lam == 0:
+            column = [vertex_info[x].element for x in prefix]
+            cases["elements"] += len(ys)
+            return [elem_name(f_elem(*column, vertex_info[y].element))
+                    for y in ys]
+        if lam == gadget.height:
+            columns = [vertex_info[x].rtuple for x in prefix]
+            cases["tuples"] += len(ys)
+            return [tup_name(image(columns, vertex_info[y].rtuple))
+                    for y in ys]
+        recs = [records[x] for x in prefix]
+        edges = tuple(edge for edge, _ in recs)
+        elems = [a for a, _ in edges]
+        columns = [r for _, r in edges]
+        common = {s: [offsets[s] for _, offsets in recs]
+                  for s in (lam - 1, lam)
+                  if all(s in offsets for _, offsets in recs)}
+        memo = targets.setdefault(edges, {})
+        values = []
+        for y in ys:
+            edge, offsets = records[y]
+            target = memo.get(edge)
+            if target is None:
+                tp = gadget.paths[(f_elem(*elems, edge[0]),
+                                   image(columns, edge[1]))]
+                target = memo[edge] = (tp.vertices, tp.qpath.section_spans,
+                                       tp.qpath.single_edges)
+            vertices, spans, singles = target
+            section = next(filter(offsets.__contains__, common), None)
+            if section is None:
+                raise LiftInvariantError(
+                    f"no common section at level {lam} for {prefix + (y,)}")
+            lo, hi = spans[section - 1]
+            locs = common[section] + [offsets[section]]
+            if section in singles:
+                value = vertices[lo if lam == section else hi]
+                case = "diagonal-single"
+            elif None not in locs:
+                z = f_zig(*map(_ZVERT.__getitem__, locs))
+                value, case = vertices[lo + _ZPOS[z]], "diagonal-zigzag"
+            elif locs.count(None) < len(locs):
+                value = by_low[min(low_rank[vertices[lo + p]]
+                                   for p in locs if p is not None)]
+                case = "diagonal-mixed"
+            else:
+                raise LiftInvariantError(
+                    "zigzag target section with no zigzag sources")
+            values.append(value)
+            cases[case] += 1
+        return values
 
     return row
 
 
 def _section_records(gadget):
-    """Per internal vertex of the gadget: its path's element and relation
-    tuple, and for each section containing its position, its offset into
-    that section when the section is a zigzag in its path, else None."""
+    """Per internal vertex of the gadget: its path's (element, relation
+    tuple) edge, and for each section containing its position, its
+    offset into that section when the section is a zigzag in its path,
+    else None."""
     out = {}
     for v, info in gadget.vertex_info.items():
         if info.kind == "path":
@@ -396,39 +487,8 @@ def _section_records(gadget):
             offsets = {l: None if qp.is_single(l)
                        else info.position - qp.section_spans[l - 1][0]
                        for l in qp.sections_at(info.position)}
-            out[v] = (info.edge[0], info.edge[1], offsets)
+            out[v] = (info.edge, offsets)
     return out
-
-
-def _diagonal_value(gadget, order, f_elem, f_zig, c, recs, lam):
-    """Value and case of a diagonal-component tuple ``c`` of internal
-    vertices on level ``lam``, given their section records: the matching
-    vertex of the first common section inside the target path, the path
-    of the coordinatewise images of the entries' element/tuple pairs."""
-    a = f_elem(*(rec[0] for rec in recs))
-    r = tuple(f_elem(*col) for col in zip(*(rec[1] for rec in recs)))
-    if r not in gadget.relation.tuples:
-        raise LiftInvariantError(
-            f"coordinatewise image {r} is not a relation tuple; the "
-            "template operation is not a polymorphism")
-    for section in (lam - 1, lam):
-        if all(section in rec[2] for rec in recs):
-            break
-    else:
-        raise LiftInvariantError(
-            f"no common section at level {lam} for {c}")
-    tp = gadget.paths[(a, r)]
-    lo, hi = tp.qpath.section_spans[section - 1]
-    if tp.qpath.is_single(section):
-        return tp.vertices[lo if lam == section else hi], "diagonal-single"
-    locs = [p for p in (rec[2][section] for rec in recs) if p is not None]
-    if len(locs) == len(c):
-        z = f_zig(*(_ZVERT[p] for p in locs))
-        return tp.vertices[lo + _ZPOS[z]], "diagonal-zigzag"
-    if not locs:
-        raise LiftInvariantError("zigzag target section with no zigzag sources")
-    return (order.by_low[min(order.low_rank[tp.vertices[lo + p]]
-                             for p in locs)], "diagonal-mixed")
 
 
 # ---------------------------------------------------------------------
