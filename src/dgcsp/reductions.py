@@ -9,17 +9,18 @@ Backward direction: an arbitrary digraph G is reduced against D(A) in
 stages.  Stage 1 rejects digraphs that are not balanced or are taller
 than the gadget.  Stage 2 solves components shorter than the gadget
 outright and drops them.  Stage 3 looks at each remaining component's
-interior pieces: the set of coordinates a piece blocks is computed with
-the solver once per distinct pinned piece shape (pieces of a forward
-digraph repeat a handful of shapes), and those blocked coordinates are
-compiled into generalized hyperedges plus forced equalities, which are
-then amalgamated into an instance B over A's collapsed signature with
+interior pieces.  One pass finds each piece, its bases and tops, and its
+shape: the piece renamed by position, with its base- and top-adjacent
+positions.  The coordinates a piece blocks are computed from the shape
+alone, once per distinct shape (pieces of a forward digraph repeat a
+handful of shapes).  Those blocked coordinates are compiled into
+generalized hyperedges plus forced equalities, which are then
+amalgamated into an instance B over A's collapsed signature with
 G -> D(A) iff B -> A.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .gadget import build_gadget, build_path
@@ -156,6 +157,7 @@ def forward_translate(instance, template):
         edges.extend(path_edges(qpath.spec.word, names))
 
     rel_order = [r.name for r in template.relations]
+    coordinate_paths = [build_path({i}, k) for i in range(1, k + 1)]
     constrained = set()
     for rel_idx, rel_name in enumerate(rel_order):
         if not instance.has_relation(rel_name):
@@ -177,8 +179,8 @@ def forward_translate(instance, template):
             top = fresh.next()
             vertices.append(top)
             tops.append(top)
-            for i in range(1, k + 1):
-                add_path_copy(build_path({i}, k), block[i - 1], top)
+            for qpath, v in zip(coordinate_paths, block):
+                add_path_copy(qpath, v, top)
 
     for v in variables:
         if v not in constrained:
@@ -199,89 +201,79 @@ class InternalComponent:
     """A weak component of the digraph with levels 0 and n removed.
 
     ``bases`` are the level-0 vertices with an edge into the piece,
-    ``tops`` the level-n vertices with an edge from it;
-    ``base_adjacent``/``top_adjacent`` are the piece vertices carrying
-    those edges.  ``gamma`` is the set of blocked coordinates, filled in
-    by :func:`forced_positions`.
+    ``tops`` the level-n vertices with an edge from it.  ``shape`` is
+    the piece renamed by position: its edges, the positions adjacent to
+    a base, those adjacent to a top, and its size.  ``gamma`` is the
+    set of coordinates the piece blocks, found from the shape alone.
     """
 
     vertices: tuple
     bases: tuple
     tops: tuple
-    base_adjacent: tuple = ()
-    top_adjacent: tuple = ()
-    gamma: frozenset = None
+    shape: tuple
+    gamma: frozenset
 
 
-def internal_components(g, levels, n):
-    """Interior pieces of a leveled digraph of height n."""
+def internal_components(g, levels, n, k, budget):
+    """Interior pieces of a leveled digraph of height n, each with the
+    coordinates it blocks; :func:`forced_positions` runs once per
+    distinct shape (pieces of a forward digraph repeat a handful)."""
     interior = [v for v in g.vertices if 0 < levels[v] < n]
     sub = g.induced(interior)
+    gammas = {}
     out = []
     for comp in sub.weak_components():
+        pos = {v: i for i, v in enumerate(comp)}
         bases, tops = set(), set()
-        base_adj, top_adj = set(), set()
-        for c in comp:
-            for u in g.in_neighbors(c):
-                if levels[u] == 0:
-                    bases.add(u)
-                    base_adj.add(c)
-            for w in g.out_neighbors(c):
-                if levels[w] == n:
-                    tops.add(w)
-                    top_adj.add(c)
+        base_adj, top_adj = [], []
+        for i, c in enumerate(comp):     # edges climb one level
+            if levels[c] == 1 and g.in_neighbors(c):
+                bases.update(g.in_neighbors(c))
+                base_adj.append(i)
+            if levels[c] == n - 1 and g.out_neighbors(c):
+                tops.update(g.out_neighbors(c))
+                top_adj.append(i)
         if not bases and not tops:
             raise AssertionError(
                 "interior piece with neither bases nor tops inside a "
                 f"height-{n} component: {comp[:5]}...")
-        key = g.index
+        shape = (tuple([(i, pos[w]) for i, u in enumerate(comp)
+                        for w in sub.out_neighbors(u)]),
+                 tuple(base_adj), tuple(top_adj), len(comp))
+        gamma = gammas.get(shape)
+        if gamma is None:
+            gamma = gammas[shape] = forced_positions(shape, k, budget)
         out.append(InternalComponent(
             tuple(comp),
-            tuple(sorted(bases, key=key)),
-            tuple(sorted(tops, key=key)),
-            tuple(sorted(base_adj, key=key)),
-            tuple(sorted(top_adj, key=key)),
-        ))
+            tuple(sorted(bases, key=g.index)),
+            tuple(sorted(tops, key=g.index)),
+            shape, gamma))
     return out
 
 
-def forced_positions(g, comp, k, budget=DEFAULT_BUDGET):
-    """Coordinates i such that the piece cannot be mapped into the
-    connecting path with coordinate i removed from the full set.
+def forced_positions(shape, k, budget):
+    """Coordinates i such that a piece of this shape cannot be mapped
+    into the connecting path with coordinate i removed from the full
+    set.
 
+    The piece is built from the shape, its vertices named by position.
     Base-adjacent vertices are pinned next to the path's start,
     top-adjacent ones next to its end, so the piece is placed exactly as
     it would sit inside an instantiated path of the gadget.
     """
-    sub = g.induced(comp.vertices)
+    edges, base_adjacent, top_adjacent, size = shape
+    piece = Digraph(range(size), edges)
     blocked = set()
     full = set(range(1, k + 1))
     for i in range(1, k + 1):
         qp = build_path(full - {i}, k)
         target = qp.spec.realize(prefix="q")
-        pins = {}
-        for c in comp.base_adjacent:
-            pins[c] = "q1"
-        for c in comp.top_adjacent:
-            pins[c] = f"q{qp.last_position - 1}"
-        if digraph_hom(sub, target, pins=pins, budget=budget) is None:
+        pins = {str(p): "q1" for p in base_adjacent}
+        pins.update((str(p), f"q{qp.last_position - 1}")
+                    for p in top_adjacent)
+        if digraph_hom(piece, target, pins=pins, budget=budget) is None:
             blocked.add(i)
     return frozenset(blocked)
-
-
-def piece_shape(g, comp):
-    """The piece with its vertices renamed by position: edges, then the
-    base- and top-adjacent positions, then the vertex count.
-
-    Two pieces of equal shape give :func:`forced_positions` the same
-    pinned instances up to renaming, variables in the same order, so
-    they block the same coordinates and cost the same search nodes.
-    """
-    pos = {v: i for i, v in enumerate(comp.vertices)}
-    edges = sorted((pos[u], pos[w]) for u in comp.vertices
-                   for w in g.out_neighbors(u) if w in pos)
-    return (tuple(edges), tuple(pos[v] for v in comp.base_adjacent),
-            tuple(pos[v] for v in comp.top_adjacent), len(pos))
 
 
 # ---------------------------------------------------------------------
@@ -317,8 +309,6 @@ def extract_hyperedges(level_n, level_0, comps, k):
     reserved = set(level_n) | set(level_0)
     for c in comps:
         reserved.update(c.vertices)
-        reserved.update(c.bases)
-        reserved.update(c.tops)
     fresh = FreshNames(reserved=reserved, prefix="x")
 
     standins = {}
@@ -571,14 +561,7 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     else:
         g2 = g.induced([v for comp in kept for v in comp])
 
-    # pieces of equal shape have equal blocked coordinates: solve once
-    gammas = {}
-    comps = []
-    for c in internal_components(g2, levels, n):
-        key = piece_shape(g2, c)
-        if key not in gammas:
-            gammas[key] = forced_positions(g2, c, k, budget)
-        comps.append(dataclasses.replace(c, gamma=gammas[key]))
+    comps = internal_components(g2, levels, n, k, budget)
     level_n = [v for v in g2.vertices if levels[v] == n]
     level_0 = [v for v in g2.vertices if levels[v] == 0]
     hyperedges, equalities = extract_hyperedges(level_n, level_0, comps, k)

@@ -276,9 +276,6 @@ class Digraph:
     def in_neighbors(self, v):
         return self._in[v]
 
-    def has_edge(self, u, v):
-        return v in self._out[u]
-
     def num_vertices(self):
         return len(self.vertices)
 

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,13 @@ from hypothesis import strategies as st
 from dgcsp import reductions
 from dgcsp.gadget import build_gadget, build_path
 from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
-                              amalgamate, backward_reduce, forced_positions,
-                              forward_translate, materialize, piece_shape,
-                              stage3a_from_json, stage3a_to_json,
-                              trivial_instance)
-from dgcsp.solver import (BudgetExhausted, digraph_hom, digraph_hom_exists,
-                          find_homomorphism)
+                              amalgamate, backward_reduce, compute_levels,
+                              forced_positions, forward_translate,
+                              materialize, stage3a_from_json,
+                              stage3a_to_json, trivial_instance)
+from dgcsp.selftest import random_balanced_digraph
+from dgcsp.solver import (DEFAULT_BUDGET, BudgetExhausted, digraph_hom,
+                          digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import (Digraph, RelationalStructure,
                               collapse_to_single_relation)
 from dgcsp.templates import parity_template, two_cycle
@@ -241,17 +245,19 @@ def test_equal_edges_with_other_pins_get_their_own_gamma():
     out = backward_reduce(g, two_cycle())
     by_first = {c.vertices[0]: c for c in out.components}
     a, c = by_first["a1"], by_first["c1"]
-    assert piece_shape(g, a)[0] == piece_shape(g, c)[0]
-    assert a.gamma == forced_positions(g, a, 2) == frozenset({1})
-    assert c.gamma == forced_positions(g, c, 2) == frozenset({2})
+    assert a.shape[0] == c.shape[0] and a.shape != c.shape
+    assert a.gamma == forced_positions(a.shape, 2, DEFAULT_BUDGET) \
+        == frozenset({1})
+    assert c.gamma == forced_positions(c.shape, 2, DEFAULT_BUDGET) \
+        == frozenset({2})
 
 
 def test_forced_positions_runs_once_per_piece_shape(monkeypatch):
     calls = []
 
-    def counted(g, comp, k, budget):
-        calls.append(piece_shape(g, comp))
-        return forced_positions(g, comp, k, budget)
+    def counted(shape, k, budget):
+        calls.append(shape)
+        return forced_positions(shape, k, budget)
 
     monkeypatch.setattr(reductions, "forced_positions", counted)
     inst = RelationalStructure(
@@ -260,11 +266,94 @@ def test_forced_positions_runs_once_per_piece_shape(monkeypatch):
           + [("y0", "y3")])])
     g = forward_translate(inst, two_cycle()).digraph
     out = backward_reduce(g, two_cycle())
-    shapes = {piece_shape(g, c) for c in out.components}
+    shapes = {c.shape for c in out.components}
     assert sorted(calls) == sorted(shapes)
     assert len(calls) < len(out.components)
     for c in out.components:
-        assert c.gamma == forced_positions(g, c, 2)
+        assert c.gamma == forced_positions(c.shape, 2, DEFAULT_BUDGET)
+
+
+def backward_cases():
+    """Backward-reduction inputs: forward digraphs of seeded random
+    instances over the 2-cycle and a 3-element template, each kept as
+    is and with one edge dropped, and random balanced digraphs (read
+    against the 2-cycle)."""
+    rng = random.Random(12)
+    three = RelationalStructure(
+        range(3), [("E", 2, [(0, 1), (1, 2), (2, 0), (1, 1)])])
+    cases = []
+    for template in (two_cycle(), three):
+        for _ in range(4):
+            m = rng.randint(2, 6)
+            names = [f"y{i}" for i in range(m)]
+            scopes = [(rng.choice(names), rng.choice(names))
+                      for _ in range(rng.randint(1, 2 * m))]
+            g = forward_translate(
+                RelationalStructure(names, [("E", 2, scopes)]),
+                template).digraph
+            dropped = rng.choice(g.edges)
+            cases.append((template, g))
+            cases.append((template, Digraph(
+                g.vertices, [e for e in g.edges if e != dropped])))
+    for _ in range(200):
+        cases.append((two_cycle(), random_balanced_digraph(rng, 30)))
+    return cases
+
+
+def outcome_record(out):
+    if isinstance(out, Definite):
+        return ["definite", out.answer, out.reason]
+    return [out.instance.to_json(),
+            stage3a_to_json(out.hyperedges, out.equalities),
+            {name: sorted(members) for name, members in out.classes.items()},
+            [[c.vertices, c.bases, c.tops, sorted(c.gamma)]
+             for c in out.components]]
+
+
+def test_backward_outputs_match_their_digest():
+    """Instance, stage-3a file, classes and every piece's vertices,
+    bases, tops and blocked coordinates, pinned over all cases."""
+    digest = hashlib.sha256()
+    for template, g in backward_cases():
+        record = outcome_record(backward_reduce(g, template))
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "603f689d155e24312f4efc3f5ccfe0287f3e7e993b34a4e20dc64f44574f7b2b")
+
+
+def reference_gamma(g, levels, n, comp, k):
+    """Blocked coordinates of a piece, found by pinning the piece's own
+    induced subgraph of g under its vertex names."""
+    sub = g.induced(comp.vertices)
+    full = set(range(1, k + 1))
+    blocked = set()
+    for i in full:
+        qp = build_path(full - {i}, k)
+        pins = {}
+        for v in comp.vertices:
+            if any(levels[u] == 0 for u in g.in_neighbors(v)):
+                pins[v] = "q1"
+        for v in comp.vertices:
+            if any(levels[w] == n for w in g.out_neighbors(v)):
+                pins[v] = f"q{qp.last_position - 1}"
+        if digraph_hom(sub, qp.spec.realize(prefix="q"), pins=pins) is None:
+            blocked.add(i)
+    return frozenset(blocked)
+
+
+def test_piece_gammas_match_pinning_the_piece_in_place():
+    pieces = 0
+    for template, g in backward_cases():
+        out = backward_reduce(g, template)
+        if not isinstance(out, Reduced):
+            continue
+        gad = build_gadget(out.collapsed.structure)
+        levels = compute_levels(g)
+        for c in out.components:
+            assert c.gamma == reference_gamma(g, levels, gad.height, c,
+                                              gad.k)
+            pieces += 1
+    assert pieces > 100
 
 
 def test_budget_exhaustion_in_a_piece_propagates():
