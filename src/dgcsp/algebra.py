@@ -10,10 +10,11 @@ ones forced to constants, and hand the rest to the solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, getitem, itemgetter
 
 from .solver import DEFAULT_BUDGET, HomInstance
 from .structures import RelationalStructure, SizeGuardError, UnionFind
@@ -108,14 +109,28 @@ class Term:
     def variables(self):
         return set(self.args)
 
-    def evaluator(self, interps, variables):
-        """This term as a function of a tuple of values, one per name in
-        ``variables`` and in that order."""
-        at = [variables.index(v) for v in self.args]
-        if self.symbol is None:
-            return itemgetter(*at)
-        f = interps[self.symbol]
-        return lambda values: f(*[values[i] for i in at])
+    def column(self, readers, variables, domain):
+        """This term's values as the last of ``variables`` runs over
+        ``domain``, as a function of the others' values; ``readers`` maps a
+        symbol to its rows and each element's place in them.  A term whose
+        only use of the last name is its last argument is one row read."""
+        n = len(domain)
+        z = len(variables) - 1
+        *head, last = at = [variables.index(v) for v in self.args]
+        row, index = readers[self.symbol]
+        places = [index[x] for x in domain]
+        if last == z and z not in head:
+            return lambda values: tuple(map(
+                row(tuple(map(values.__getitem__, head))).__getitem__, places))
+        prefix_of, last_of = itemgetter(slice(-1)), itemgetter(-1)
+
+        def read(values):
+            args = list(zip(*[domain if i == z else
+                              itertools.repeat(values[i], n) for i in at]))
+            return tuple(map(getitem, map(row, map(prefix_of, args)),
+                             map(index.__getitem__, map(last_of, args))))
+
+        return read
 
     def __str__(self):
         if self.symbol is None:
@@ -224,8 +239,13 @@ def check_identities(interps, system, domain=None):
     """Check a family of operations against an identity system.
 
     ``interps`` maps symbol names to callables with an ``arity``
-    attribute (tables or lifted operations).  Returns ``(True, None)``
-    or ``(False, (description, assignment))`` with the first violation.
+    attribute (tables or lifted operations); idempotence of ``s`` is
+    ``s(x,...,x) = x``.  Per assignment of an identity's sorted variables
+    but the last, both sides' values as the last runs over ``domain``
+    are compared as tuples, read from ``op.row(prefix)`` in the order of
+    ``op.domain``, or from calls.  Returns ``(True, None)`` or ``(False,
+    (description, assignment))`` with the first violation in product
+    order.
     """
     for s, ar in system.symbols.items():
         if s not in interps:
@@ -235,19 +255,34 @@ def check_identities(interps, system, domain=None):
                            f"{interps[s].arity}", {})
     if domain is None:
         domain = next(iter(interps.values())).domain
-    for s in sorted(system.idempotent):
-        f = interps[s]
-        for x in domain:
-            if f(*((x,) * f.arity)) != x:
-                return False, (f"idempotent {s}", {"x": x})
-    for ident in system.identities:
-        vs = sorted(ident.variables())
-        lhs = ident.lhs.evaluator(interps, vs)
-        rhs = ident.rhs.evaluator(interps, vs)
-        for values in itertools.product(domain, repeat=len(vs)):
-            if lhs(values) != rhs(values):
-                return False, (str(ident), dict(zip(vs, values)))
+    place = {x: i for i, x in enumerate(domain)}
+    # a bare variable is read as the identity operation
+    readers = {None: (lambda prefix: domain, place)}
+    for s in system.symbols:
+        op = interps[s]
+        readers[s] = ((op.row, {x: i for i, x in enumerate(op.domain)})
+                      if hasattr(op, "row")
+                      else (_rows_by_call(op, domain), place))
+    checks = [(f"idempotent {s}", Term(s, ("x",) * system.symbols[s]),
+               Term(None, ("x",))) for s in sorted(system.idempotent)]
+    checks += [(str(ident), ident.lhs, ident.rhs)
+               for ident in system.identities]
+    for what, lhs, rhs in checks:
+        vs = sorted(lhs.variables() | rhs.variables())
+        left, right = (t.column(readers, vs, domain) for t in (lhs, rhs))
+        for values in itertools.product(domain, repeat=len(vs) - 1):
+            if (lcol := left(values)) != (rcol := right(values)):
+                j = list(map(eq, lcol, rcol)).index(False)
+                return False, (what, dict(zip(vs, values + (domain[j],))))
     return True, None
+
+
+def _rows_by_call(op, verts):
+    """Row reads for an operation with only ``__call__``: the row of a
+    prefix is ``op(*prefix, y)`` for every ``y`` in ``verts``, as a
+    tuple, kept once built."""
+    return functools.cache(lambda prefix: tuple([op(*prefix, y)
+                                                 for y in verts]))
 
 
 # ---------------------------------------------------------------------

@@ -225,8 +225,7 @@ def cmd_lift(args):
     if args.verify:
         ok, why = verify_lifted_system(gad, lifted, system)
         if not ok:
-            print(f"verification failed: {why}")
-            return 1
+            raise LiftInvariantError(f"verification failed: {why}")
         print("verified")
     if args.output:
         rows = {}

@@ -33,11 +33,12 @@ pairs are evaluated one by one.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
 
-from .algebra import (_ZPOS, _ZVERT, check_identities, find_interpretations,
-                      wnu_system)
+from .algebra import (_ZPOS, _ZVERT, _rows_by_call, check_identities,
+                      find_interpretations, wnu_system)
 from .gadget import elem_name, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
@@ -156,9 +157,11 @@ class LiftedOperation:
     ``row_evaluator`` maps such a prefix to the row's values and a
     mapping from the cases that produced them to their counts.
     :meth:`row` reads a row, filling it on first use, and calls read
-    their value from it.  ``case_counts`` sums those counts, so it counts
-    the entries of the rows computed so far, not the distinct inputs
-    seen.
+    their value from it; the checks read whole rows, one set test per
+    head row in :func:`polymorphism_failure_on_digraph` and one tuple
+    per identity column in :func:`check_identities`.  ``case_counts``
+    sums those counts when read, so it counts the entries of the rows
+    computed so far, not the distinct inputs seen.
     """
 
     def __init__(self, gadget, arity, row_evaluator, name="lift"):
@@ -166,7 +169,7 @@ class LiftedOperation:
         self.arity = arity
         self.name = name
         self.domain = gadget.digraph.vertices
-        self.case_counts = Counter()
+        self._row_cases = []
         self._row_evaluator = row_evaluator
         self._index = {v: i for i, v in enumerate(self.domain)}
         self._rows = {}
@@ -190,9 +193,18 @@ class LiftedOperation:
             raise LiftInvariantError(
                 f"{self.name}{prefix + (self.domain[i],)} produced unknown "
                 f"vertex {values[i]!r}")
-        self.case_counts.update(cases)
+        self._row_cases.append(cases)
         row = self._rows[prefix] = tuple(values)
         return row
+
+    @property
+    def case_counts(self):
+        """The cases of the entries of every row filled so far, with
+        their counts, summed from the rows' counts."""
+        counts = Counter()
+        for cases in self._row_cases:
+            counts.update(cases)
+        return counts
 
 
 def lift_wnu(gadget, table):
@@ -275,10 +287,12 @@ def _row_evaluator(gadget, order, records, f_elem, f_zig):
     The last arguments are classed by level and by whether they have
     out- and in-edges, and each class is filled from a plan for the
     prefix's pattern.  Classes that take their ranks in the same order
-    and tie to the same prefix entries are filled by one comprehension,
-    and one permutation puts the values in vertex order.  A row computes
-    only those entries' least ranks, the values of single-level entries
-    and the isolated pairs.
+    and tie to the same prefix entries are filled together, their
+    entries sorted by rank: a row takes the vertices of those ranked
+    below the prefix's least tied rank as one slice and that rank's
+    vertex for the rest.  One permutation puts the values in vertex
+    order.  A row computes only those least ranks, the values of
+    single-level entries and the isolated pairs.
     """
     g = gadget.digraph
     levels = gadget.levels.levels
@@ -354,8 +368,10 @@ def _row_evaluator(gadget, order, records, f_elem, f_zig):
             fill[1].extend(ranks)
         steps, positions = [], []
         for (high, tied), (pos, ranks) in fills.items():
-            steps.append((high_rank if high else low_rank, tied,
-                          by_high if high else by_low, ranks))
+            by_rank = by_high if high else by_low
+            ranks, pos = zip(*sorted(zip(ranks, pos)))
+            steps.append((high_rank if high else low_rank, tied, by_rank,
+                          ranks, [by_rank[r] for r in ranks if r < n]))
             positions += pos
         at_entry = {pos: i for i, pos in enumerate(positions)}
         for entries in single.values():
@@ -374,9 +390,13 @@ def _row_evaluator(gadget, order, records, f_elem, f_zig):
             p = plans[key] = plan(*key)
         steps, single, cases, isolated, to_vertex_order = p
         values = []
-        for rank, tied, by_rank, ranks in steps:
+        for rank, tied, by_rank, ranks, below in steps:
+            # entries ranked below the prefix's least tied rank keep their
+            # own vertex, the rest take the prefix's
             c = min([rank[prefix[i]] for i in tied], default=n)
-            values += [by_rank[r if r < c else c] for r in ranks]
+            cut = bisect_left(ranks, c)
+            values += below[:cut]
+            values += by_rank[c:c + 1] * (len(ranks) - cut)
         if single:
             more = Counter()
             for lam, ys in single:
@@ -502,58 +522,44 @@ def polymorphism_failure_on_digraph(g, op):
     Edge tuples are checked in lexicographic (tail tuple, head tuple)
     order, grouped by the tails' prefix, their first ``arity - 1``
     entries.  Per prefix, the tails' row and the rows of every head
-    prefix (one out-neighbour per tail) are read once.  For each last
-    tail ``t``, the image is read from the tail row, and each head row's
-    entries at ``t``'s out-neighbours must all be out-neighbours of that
-    image: one set test per head row, and a scan only to name the first
+    prefix (one out-neighbour per tail) are read once.  Each head row
+    gets one set test: the pairs of tail row and head row entries at
+    the ends of every edge of ``g`` must all be edges.  Only a prefix
+    with a failing head row is scanned entry by entry, to name its first
     failure.  ``op`` is any callable with an ``arity``; its rows come
     from ``op.row(prefix)`` when it has one, in the order of
     ``g.vertices``, and are otherwise built from ``op(*prefix, y)`` and
     kept for the rest of the check.
     """
+    edges = frozenset(g.edges)
+    if not edges:
+        return None
     verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
     out = {v: g.out_neighbors(v) for v in verts}
-    allowed = {v: frozenset(ns) for v, ns in out.items()}
-    # per last tail: its position and a getter of the entries at its
-    # out-neighbours, always a tuple (one index is given twice)
-    last = []
-    for t in verts:
-        if out[t]:
-            heads = [pos[y] for y in out[t]]
-            last.append((t, pos[t], itemgetter(*heads, *heads[:1])))
+    # getters of the entries at every edge's tail and at its head, always
+    # tuples (the first edge is given twice)
+    ends = [(pos[t], pos[y]) for t, y in g.edges]
+    at_tails, at_heads = (itemgetter(*at, at[0]) for at in zip(*ends))
     row = getattr(op, "row", None) or _rows_by_call(op, verts)
-    for prefix in itertools.product([t for t, _, _ in last],
+    for prefix in itertools.product([t for t in verts if out[t]],
                                     repeat=op.arity - 1):
         tail_row = row(prefix)
+        tail_images = at_tails(tail_row)
         head_rows = [(head, row(head)) for head in
                      itertools.product(*map(out.__getitem__, prefix))]
-        for t, i, at_heads in last:
-            image = tail_row[i]
-            ok = allowed[image]
+        if all(edges.issuperset(zip(tail_images, at_heads(head_row)))
+               for _, head_row in head_rows):
+            continue
+        for t in verts:
+            image = tail_row[pos[t]]
             for head, head_row in head_rows:
-                if not ok.issuperset(at_heads(head_row)):
-                    for y in out[t]:
-                        value = head_row[pos[y]]
-                        if value not in ok:
-                            return (tuple(zip(prefix + (t,), head + (y,))),
-                                    (image, value))
+                for y in out[t]:
+                    value = head_row[pos[y]]
+                    if (image, value) not in edges:
+                        return (tuple(zip(prefix + (t,), head + (y,))),
+                                (image, value))
     return None
-
-
-def _rows_by_call(op, verts):
-    """Row reads for an operation with only ``__call__``: the row of a
-    prefix is ``op(*prefix, y)`` for every ``y`` in ``verts``, kept once
-    built."""
-    rows = {}
-
-    def row(prefix):
-        values = rows.get(prefix)
-        if values is None:
-            values = rows[prefix] = [op(*prefix, y) for y in verts]
-        return values
-
-    return row
 
 
 def verify_lifted_system(gadget, lifted, system):

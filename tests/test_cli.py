@@ -5,6 +5,7 @@ import pytest
 
 from dgcsp import cli, reductions
 from dgcsp.cli import main
+from dgcsp.gadget import elem_name
 from dgcsp.lifting import LiftInvariantError
 from dgcsp.templates import two_cycle
 
@@ -275,6 +276,30 @@ def test_lift_invariant_failure_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "lift_general", broken)
     assert main(["lift", "2cycle", "--wnu", "3"]) == 4
     assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
+def test_failed_lift_verification_exits_4(monkeypatch, capsys):
+    """A lift that fails its own exhaustive verification is a broken
+    invariant, not a negative answer."""
+    lift_general = cli.lift_general
+    x = elem_name("0")
+
+    def one_wrong_tuple(*args, **kwargs):
+        w = lift_general(*args, **kwargs)["w"]
+
+        def bad(*c):
+            return elem_name("1") if c == (x, x, x) else w(*c)
+
+        bad.arity = w.arity
+        return {"w": bad}
+
+    monkeypatch.setattr(cli, "lift_general", one_wrong_tuple)
+    assert main(["lift", "2cycle", "--wnu", "3", "--verify"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "lifted w (arity 3) to 24 vertices\n"
+    assert captured.err == (
+        "internal error: verification failed: identity failure: "
+        f"('idempotent w', {{'x': '{x}'}})\n")
 
 
 def test_assertion_in_the_backward_reduction_exits_4(tmp_path, monkeypatch,

@@ -2,12 +2,15 @@ import functools
 import hashlib
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcsp.algebra import (IdentitySystem, commutative_idempotent_binary_system,
+from dgcsp.algebra import (IdentitySystem, OperationTable,
+                           check_identities,
+                           commutative_idempotent_binary_system,
                            cyclic_system, endomorphisms, find_interpretations,
                            find_wnu, kkvw_system,
                            majority_system, maltsev_system,
@@ -22,7 +25,7 @@ from dgcsp.lifting import (LiftedOperation, LiftInvariantError,
                            verify_lifted_system)
 from dgcsp.selftest import diagonal_component_pairs
 from dgcsp.solver import HomInstance
-from dgcsp.structures import RelationalStructure
+from dgcsp.structures import Digraph, RelationalStructure
 from dgcsp.templates import (leq_template, one_element, parity_template,
                              two_cycle, zigzag_digraph_template)
 
@@ -320,22 +323,35 @@ def directed_three_cycle():
         ["0", "1", "2"], [("E", 2, [("0", "1"), ("1", "2"), ("2", "0")])])
 
 
+# (template, system, lifted symbol); the 2-cycle's swap is lifted as an
+# endomorphism, and the edgeless case is a binary projection on a
+# digraph with no edges
 DIFFERENTIAL_CASES = {
-    "2cycle-wnu3": (two_cycle, lambda: wnu_system(3)),
-    "2cycle-majority": (two_cycle, majority_system),
-    "leq-wnu3": (leq_template, lambda: wnu_system(3)),
-    "leq-majority": (leq_template, majority_system),
-    "C3-binary": (directed_three_cycle, commutative_idempotent_binary_system),
-    "2cycle-swap": (two_cycle, None),
+    "2cycle-wnu3": (two_cycle, lambda: wnu_system(3), "w"),
+    "2cycle-majority": (two_cycle, majority_system, "maj"),
+    "2cycle-kkvw-v": (two_cycle, kkvw_system, "v"),
+    "leq-wnu3": (leq_template, lambda: wnu_system(3), "w"),
+    "leq-majority": (leq_template, majority_system, "maj"),
+    "C3-binary": (directed_three_cycle, commutative_idempotent_binary_system,
+                  "f"),
+    "2cycle-swap": (two_cycle, None, None),
+    "edgeless": (None, None, None),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def differential_case(name):
-    """A gadget and one sound lifted operation on it; the endomorphism
-    case is the lift of the 2-cycle's swap, read as an arity-1 lifted
-    operation."""
-    make_template, make_system = DIFFERENTIAL_CASES[name]
+    """A digraph and one sound operation on it, read a row at a time:
+    one symbol of a lifted family, the lift of the 2-cycle's swap read
+    as an arity-1 lifted operation, or a projection on three vertices
+    with no edges."""
+    make_template, make_system, symbol = DIFFERENTIAL_CASES[name]
+    if make_template is None:
+        g = Digraph(["a", "b", "c"], [])
+        op = LiftedOperation(
+            SimpleNamespace(digraph=g, vertex_info=dict.fromkeys(g.vertices)),
+            2, lambda prefix: ([prefix[0]] * 3, Counter()))
+        return g, op
     template = make_template()
     gadget = build_gadget(template)
     if make_system is None:
@@ -345,11 +361,10 @@ def differential_case(name):
             gadget, 1, lambda prefix: ([images[v] for v in verts], Counter()))
     else:
         system = make_system()
-        lifted = lift_general(gadget, system,
-                              find_interpretations(template, system))
-        op = next(iter(lifted.values()))
+        op = lift_general(gadget, system,
+                          find_interpretations(template, system))[symbol]
     assert reference_failure(gadget.digraph, op) is None
-    return gadget, op
+    return gadget.digraph, op
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -359,9 +374,9 @@ def test_row_reads_report_the_reference_failure(name, data):
     any tuple) to a random vertex, an operation gets from the verifier
     exactly the reference's first failure, or None with it, whether it
     is read a row at a time or only through calls."""
-    gadget, op = differential_case(name)
-    g = gadget.digraph
-    side = data.draw(st.sampled_from(["tail", "head", "any"]))
+    g, op = differential_case(name)
+    side = data.draw(st.sampled_from(["tail", "head", "any"] if g.edges
+                                     else ["any"]))
     if side == "any":
         at = data.draw(st.tuples(*[st.sampled_from(g.vertices)] * op.arity))
     else:
@@ -415,6 +430,83 @@ def test_verification_reports_an_edge_tuple_the_corruption_breaks(gad, side):
     assert (tails if side == "tail" else heads) == at
     assert (bad(*tails), bad(*heads)) == (tail_image, head_image)
     assert (tail_image, head_image) not in edges
+
+
+# -- identity checks against the per-assignment reference -------------
+
+
+def reference_identity_failure(interps, system, domain):
+    """The identity check's contract, one assignment at a time:
+    idempotence of each marked symbol in sorted order, then each identity
+    over the assignments of its sorted variables in product order; the
+    verdict with the first failure and its assignment."""
+    for s in sorted(system.idempotent):
+        f = interps[s]
+        for x in domain:
+            if f(*((x,) * f.arity)) != x:
+                return False, (f"idempotent {s}", {"x": x})
+
+    def side(term, a):
+        if term.symbol is None:
+            return a[term.args[0]]
+        return interps[term.symbol](*[a[v] for v in term.args])
+
+    for ident in system.identities:
+        vs = sorted(ident.variables())
+        for values in itertools.product(domain, repeat=len(vs)):
+            a = dict(zip(vs, values))
+            if side(ident.lhs, a) != side(ident.rhs, a):
+                return False, (str(ident), a)
+    return True, None
+
+
+IDENTITY_SYSTEMS = {"wnu3": lambda: wnu_system(3), "majority": majority_system,
+                    "cyclic3": lambda: cyclic_system(3), "kkvw": kkvw_system}
+
+
+@functools.lru_cache(maxsize=None)
+def identity_case(name, tables):
+    """A system and a sound family for it: tables on the order template,
+    or their lifts to the 2-cycle's gadget."""
+    system = IDENTITY_SYSTEMS[name]()
+    if tables:
+        return system, find_interpretations(leq_template(), system)
+    return system, lift_general(build_gadget(two_cycle()), system,
+                                find_interpretations(two_cycle(), system))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(IDENTITY_SYSTEMS)),
+       st.sampled_from(["sound", "tuple", "row", "table", "sound-table"]),
+       st.data())
+def test_identity_columns_report_the_reference_failure(name, kind, data):
+    """Sound or corrupted at one input to another value, a family gets
+    from check_identities exactly the reference's verdict and first
+    failing assignment, over its domain in any order: lifted operations read a
+    row at a time or only through calls, and plain tables."""
+    system, interps = identity_case(name, kind.endswith("table"))
+    s = data.draw(st.sampled_from(sorted(interps)))
+    op = interps[s]
+    domain = tuple(data.draw(st.permutations(op.domain)))
+    if not kind.startswith("sound"):
+        # at most two distinct entries, so that idempotence and the
+        # one-off identities meet the corruption
+        xs = data.draw(st.lists(st.sampled_from(domain), min_size=1,
+                                max_size=2))
+        at = data.draw(st.tuples(*[st.sampled_from(xs)] * op.arity))
+        value = data.draw(st.sampled_from([x for x in domain
+                                           if x != op(*at)]))
+        if kind == "table":
+            bad = OperationTable(op.domain, op.arity,
+                                 {**dict(op.rows()), at: value})
+        else:
+            bad = (OneWrongRow if kind == "row" else OneWrongTuple)(
+                op, at, value)
+            # rows are read in the order of the operation's domain
+            bad.domain = op.domain
+        interps = {**interps, s: bad}
+    assert check_identities(interps, system, domain) == \
+        reference_identity_failure(interps, system, domain)
 
 
 # -- property: lifts of random templates verify -------------------------
