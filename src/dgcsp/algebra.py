@@ -207,8 +207,8 @@ class IdentitySystem:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("idempotent"):
-                parts = line.split()
+            parts = line.split()
+            if parts[0] == "idempotent":
                 if len(parts) != 2:
                     raise IdentityParseError(
                         f"line {lineno}: expected 'idempotent <symbol>'")

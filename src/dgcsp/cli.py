@@ -19,8 +19,8 @@ import json
 import sys
 
 from . import templates
-from .algebra import (IdentityParseError, IdentitySystem, core_of,
-                      find_interpretations, wnu_system)
+from .algebra import (IdentitySystem, core_of, find_interpretations,
+                      wnu_system)
 from .gadget import build_gadget
 from .lifting import (LiftInvariantError, UnliftableSystemError,
                       lift_general, verify_lifted_system)
@@ -28,10 +28,8 @@ from .reductions import (Definite, amalgamate, backward_reduce,
                          forward_translate, stage3a_from_json,
                          stage3a_to_json)
 from .selftest import format_report, run_all
-from .solver import (DEFAULT_BUDGET, BudgetExhausted, SolverUsageError,
-                     find_homomorphism)
-from .structures import (Digraph, EmptyRelationError, InvalidStructureError,
-                         RelationalStructure, SizeGuardError,
+from .solver import DEFAULT_BUDGET, BudgetExhausted, find_homomorphism
+from .structures import (Digraph, RelationalStructure,
                          collapse_to_single_relation, digraph_to_dot)
 
 
@@ -342,9 +340,7 @@ def main(argv=None):
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, InvalidStructureError, EmptyRelationError,
-            SizeGuardError, SolverUsageError, IdentityParseError,
-            ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LiftInvariantError, AssertionError) as exc:

@@ -11,18 +11,14 @@ paths embed into each other exactly when their recorded sets are nested.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .structures import (
-    BACKWARD,
-    FORWARD,
-    Digraph,
-    InvalidStructureError,
-    LevelAssignment,
-    OrientedPathSpec,
-    SizeGuardError,
-    path_edges,
-)
+from .structures import (Digraph, InvalidStructureError, LevelAssignment,
+                         SizeGuardError)
+
+FORWARD = 1
+BACKWARD = -1
 
 
 def count_formula(num_elements, num_tuples, arity):
@@ -41,25 +37,39 @@ class QPath:
     The path climbs from level 0 to level k+2: an initial single edge,
     one section per coordinate (single edge when the coordinate is in
     ``single_edges``, zigzag otherwise), and a final single edge.
+    ``word`` gives the edge directions: entry i is FORWARD when the edge
+    points from position i to i+1, BACKWARD for the reverse.
     ``section_spans[l-1]`` is the inclusive position range of section l;
     adjacent sections share their seam position.
     """
 
     k: int
     single_edges: frozenset
-    spec: OrientedPathSpec
+    word: tuple
     section_spans: tuple
 
     @property
     def last_position(self):
-        return len(self.spec.word)
+        return len(self.word)
 
     @property
     def num_vertices(self):
-        return len(self.spec.word) + 1
+        return len(self.word) + 1
 
     def levels(self):
-        return self.spec.levels()
+        """Level of each position; the path never dips below its start."""
+        return tuple(itertools.accumulate(self.word, initial=0))
+
+    def edges(self, names):
+        """The path's edges, its positions 0..last named by ``names``."""
+        return [(names[i], names[i + 1]) if d == FORWARD
+                else (names[i + 1], names[i])
+                for i, d in enumerate(self.word)]
+
+    def realize(self, prefix):
+        """The path as a digraph with vertices prefix0..prefixL."""
+        names = [f"{prefix}{i}" for i in range(self.num_vertices)]
+        return Digraph(names, self.edges(names))
 
     def is_single(self, section):
         return section in self.single_edges
@@ -95,7 +105,7 @@ def build_path(single_edges, k):
             pos += 3
         spans.append((lo, pos))
     word.append(FORWARD)
-    return QPath(k, single_edges, OrientedPathSpec(tuple(word)), tuple(spans))
+    return QPath(k, single_edges, tuple(word), tuple(spans))
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,7 @@ class GadgetDigraph:
                 levels[names[j]] = qlevels[j]
                 self.vertex_info[names[j]] = VertexInfo(
                     "path", qlevels[j], edge=(a, r), position=j)
-            edges.extend(path_edges(qp.spec.word, names))
+            edges.extend(qp.edges(names))
             self.paths[(a, r)] = GadgetPath((a, r), qp, tuple(names))
 
         if len(set(vertices)) != len(vertices):
@@ -204,5 +214,5 @@ class VertexInfo:
     position: int = None
 
 
-def build_gadget(template, max_pairs=4096):
-    return GadgetDigraph(template, max_pairs=max_pairs)
+def build_gadget(template):
+    return GadgetDigraph(template)

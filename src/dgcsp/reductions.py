@@ -32,7 +32,6 @@ from .structures import (
     RelationalStructure,
     UnionFind,
     collapse_to_single_relation,
-    path_edges,
 )
 
 
@@ -154,7 +153,7 @@ def forward_translate(instance, template):
         names.extend(fresh.next() for _ in range(qpath.last_position - 1))
         names.append(top)
         vertices.extend(names[1:-1])
-        edges.extend(path_edges(qpath.spec.word, names))
+        edges.extend(qpath.edges(names))
 
     rel_order = [r.name for r in template.relations]
     coordinate_paths = [build_path({i}, k) for i in range(1, k + 1)]
@@ -267,7 +266,7 @@ def forced_positions(shape, k, budget):
     full = set(range(1, k + 1))
     for i in range(1, k + 1):
         qp = build_path(full - {i}, k)
-        target = qp.spec.realize(prefix="q")
+        target = qp.realize("q")
         pins = {str(p): "q1" for p in base_adjacent}
         pins.update((str(p), f"q{qp.last_position - 1}")
                     for p in top_adjacent)

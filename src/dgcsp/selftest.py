@@ -148,9 +148,9 @@ def criterion_2(seed=42):
             subsets = [frozenset(c) for r in range(k + 1)
                        for c in itertools.combinations(coords, r)]
             for I in subsets:
-                src = build_path(I, k).spec.realize(prefix="s")
+                src = build_path(I, k).realize("s")
                 for J in subsets:
-                    dst = build_path(J, k).spec.realize(prefix="d")
+                    dst = build_path(J, k).realize("d")
                     pins = {src.vertices[0]: dst.vertices[0],
                             src.vertices[-1]: dst.vertices[-1]}
                     found = len(HomInstance(

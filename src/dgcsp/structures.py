@@ -1,4 +1,4 @@
-"""Relational structures, digraphs, oriented paths and a union-find.
+"""Relational structures, digraphs and a union-find.
 
 Everything downstream works over two kinds of objects: finite relational
 structures (a domain plus named relations of fixed arity) and finite
@@ -392,50 +392,6 @@ def digraph_to_dot(g, levels=None):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-FORWARD = 1
-BACKWARD = -1
-
-
-@dataclass(frozen=True)
-class OrientedPathSpec:
-    """An oriented path given by its sequence of edge directions.
-
-    Entry +1 means the i-th edge points from position i to i+1, entry -1
-    the reverse.  Positions run 0..len(word); levels are the running sum
-    of the word, shifted so the minimum is 0.
-    """
-
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d not in (FORWARD, BACKWARD) for d in self.word):
-            raise InvalidStructureError("path word entries must be +1 or -1")
-
-    @property
-    def last_position(self):
-        return len(self.word)
-
-    def levels(self):
-        lvls = [0]
-        for d in self.word:
-            lvls.append(lvls[-1] + d)
-        low = min(lvls)
-        return tuple(x - low for x in lvls)
-
-    def realize(self, prefix="p"):
-        """Build the path as a digraph with vertices prefix0..prefixL."""
-        names = [f"{prefix}{i}" for i in range(len(self.word) + 1)]
-        return Digraph(names, path_edges(self.word, names))
-
-
-def path_edges(word, names):
-    """Edges of the oriented path with direction word ``word`` whose
-    positions 0..len(word) are named by ``names``."""
-    return [(names[i], names[i + 1]) if d == FORWARD
-            else (names[i + 1], names[i])
-            for i, d in enumerate(word)]
 
 
 @dataclass(frozen=True)

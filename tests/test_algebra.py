@@ -54,6 +54,18 @@ def test_parse_identity_file():
     assert sys_.idempotent == frozenset({"p"})
 
 
+def test_parse_symbol_named_like_the_marker():
+    # only a first word of exactly ``idempotent`` makes a marker line
+    sys_ = IdentitySystem.parse("""
+        idempotent f
+        idempotents(x,y,y) = idempotents(y,x,y)
+        f(x, y) = f(y, x)
+    """)
+    assert sys_.symbols == {"idempotents": 3, "f": 2}
+    assert len(sys_.identities) == 2
+    assert sys_.idempotent == frozenset({"f"})
+
+
 def test_parse_round_trip_through_str():
     for sys_ in (three_permutability_system(), cyclic_system(3)):
         again = IdentitySystem.parse(str(sys_))

@@ -269,6 +269,47 @@ def test_mistyped_stage3a_file_is_a_usage_error(tmp_path, capsys, obj):
     assert captured.err.count("\n") == 1
 
 
+def malformed_identities(tmp_path):
+    ids = tmp_path / "bad.ids"
+    ids.write_text("f(x, y) = f(x)\n")
+    return ["poly", "2cycle", "--identities", str(ids)]
+
+
+def relation_missing_from_the_target(tmp_path):
+    path = write_json(tmp_path, "i.json", {
+        "domain": ["x"],
+        "relations": [{"name": "R", "arity": 1, "tuples": [["x"]]}]})
+    return ["solve", "2cycle", "--input", path]
+
+
+def too_many_indicators(tmp_path):
+    names = [str(i) for i in range(8)]
+    path = write_json(tmp_path, "k8.json", {
+        "domain": names,
+        "relations": [{"name": "E", "arity": 2, "tuples": [
+            [u, v] for u in names for v in names if u != v]}]})
+    return ["poly", path, "--wnu", "6"]
+
+
+def empty_relation(tmp_path):
+    path = write_json(tmp_path, "t.json", {
+        "domain": ["a"],
+        "relations": [{"name": "E", "arity": 2, "tuples": []}]})
+    return ["build", path]
+
+
+@pytest.mark.parametrize("make_args", [
+    malformed_identities, relation_missing_from_the_target,
+    too_many_indicators, empty_relation,
+], ids=["identity-parse", "solver-usage", "size-guard", "empty-relation"])
+def test_value_error_subclasses_are_usage_errors(tmp_path, capsys, make_args):
+    assert main(make_args(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_lift_invariant_failure_exits_4(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise LiftInvariantError("broken invariant")

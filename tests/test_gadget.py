@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from dgcsp.gadget import (GadgetDigraph, build_gadget, build_path,
                           count_formula, elem_name, tup_name)
+from dgcsp.reductions import compute_levels
 from dgcsp.structures import InvalidStructureError, SizeGuardError
 from dgcsp.templates import one_element, parity_template, two_cycle
 
@@ -21,6 +24,26 @@ def test_path_shape():
     lv = p.levels()
     assert lv[0] == 0 and lv[-1] == 5
     assert max(lv) == 5
+
+
+def test_path_levels_and_realization():
+    # a connecting path never dips below its start, so its running sums
+    # are already the levels of the digraph it realizes
+    for k in range(1, 5):
+        for r in range(k + 1):
+            for coords in itertools.combinations(range(1, k + 1), r):
+                p = build_path(set(coords), k)
+                g = p.realize("v")
+                leveled = compute_levels(g)
+                assert p.levels() == tuple(leveled[v] for v in g.vertices)
+                assert p.levels()[-1] == k + 2
+
+    p = build_path(set(), 1)
+    assert p.word == (1, 1, -1, 1, 1)
+    g = p.realize("v")
+    assert g.vertices == ("v0", "v1", "v2", "v3", "v4", "v5")
+    assert set(g.edges) == {("v0", "v1"), ("v1", "v2"), ("v3", "v2"),
+                            ("v3", "v4"), ("v4", "v5")}
 
 
 def test_path_rejects_bad_coordinates():

@@ -126,7 +126,7 @@ def test_backward_gadget_maps_to_itself():
 def standins_digraph():
     """A zigzag spine up the whole height, plus a separate straight run
     through the interior that only touches the rest at a top vertex."""
-    spine = build_path(frozenset(), 4).spec.realize(prefix="z")
+    spine = build_path(frozenset(), 4).realize("z")
     cvs = [f"c{i}" for i in range(1, 6)]
     verts = list(spine.vertices) + cvs
     edges = list(spine.edges) + [(cvs[i], cvs[i + 1]) for i in range(4)]
@@ -230,7 +230,7 @@ def test_backward_matches_direct_search(case):
 def spine_with(extra_vertices, extra_edges):
     """A zigzag spine up the whole height of the 2-cycle gadget (levels
     0-4, from z0 to z8) plus more vertices and edges."""
-    spine = build_path(frozenset(), 2).spec.realize(prefix="z")
+    spine = build_path(frozenset(), 2).realize("z")
     return Digraph(list(spine.vertices) + list(extra_vertices),
                    list(spine.edges) + list(extra_edges))
 
@@ -336,7 +336,7 @@ def reference_gamma(g, levels, n, comp, k):
         for v in comp.vertices:
             if any(levels[w] == n for w in g.out_neighbors(v)):
                 pins[v] = f"q{qp.last_position - 1}"
-        if digraph_hom(sub, qp.spec.realize(prefix="q"), pins=pins) is None:
+        if digraph_hom(sub, qp.realize("q"), pins=pins) is None:
             blocked.add(i)
     return frozenset(blocked)
 

@@ -10,8 +10,7 @@ from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure,
                               stage3a_to_json)
 from dgcsp.solver import digraph_hom
 from dgcsp.structures import (Digraph, EmptyRelationError,
-                              InvalidStructureError, OrientedPathSpec,
-                              RelationalStructure,
+                              InvalidStructureError, RelationalStructure,
                               collapse_to_single_relation, digraph_to_dot)
 from dgcsp.templates import leq_template, two_cycle
 
@@ -192,14 +191,6 @@ def test_collapse_passes_single_relation_through():
     col = collapse_to_single_relation(s)
     assert col.structure is s
     assert col.relation.name == "E"
-
-
-def test_oriented_path_spec_levels_and_realize():
-    spec = OrientedPathSpec((1, -1, 1))      # up, down, up
-    assert spec.levels() == (0, 1, 0, 1)
-    g = spec.realize(prefix="v")
-    assert g.vertices == ("v0", "v1", "v2", "v3")
-    assert set(g.edges) == {("v0", "v1"), ("v2", "v1"), ("v2", "v3")}
 
 
 def test_induced_matches_filtering_every_edge():
