@@ -103,7 +103,7 @@ def cmd_build(args):
         out = (f"vertices {gad.digraph.num_vertices()}\n"
                f"edges {gad.digraph.num_edges()}\n"
                f"arity {gad.k}\n"
-               f"paths {len(gad.edge_order)}\n")
+               f"paths {len(gad.paths)}\n")
     else:
         out = _dump(gad.digraph.to_json())
     _emit(out, args.output)

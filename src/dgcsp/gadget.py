@@ -19,6 +19,8 @@ from .structures import (Digraph, InvalidStructureError, LevelAssignment,
 
 FORWARD = 1
 BACKWARD = -1
+# bound on the element/tuple pairs, one connecting path each, of a gadget
+MAX_PAIRS = 4096
 
 
 def count_formula(num_elements, num_tuples, arity):
@@ -32,7 +34,8 @@ def count_formula(num_elements, num_tuples, arity):
 
 @dataclass(frozen=True)
 class QPath:
-    """A connecting path for coordinate set ``single_edges`` within 1..k.
+    """A connecting path for coordinate set ``single_edges`` within 1..k,
+    k being its number of sections.
 
     The path climbs from level 0 to level k+2: an initial single edge,
     one section per coordinate (single edge when the coordinate is in
@@ -43,7 +46,6 @@ class QPath:
     adjacent sections share their seam position.
     """
 
-    k: int
     single_edges: frozenset
     word: tuple
     section_spans: tuple
@@ -71,18 +73,6 @@ class QPath:
         names = [f"{prefix}{i}" for i in range(self.num_vertices)]
         return Digraph(names, self.edges(names))
 
-    def is_single(self, section):
-        return section in self.single_edges
-
-    def sections_at(self, position):
-        """Sections whose span contains the position (seams are in two)."""
-        out = []
-        for l in range(1, self.k + 1):
-            lo, hi = self.section_spans[l - 1]
-            if lo <= position <= hi:
-                out.append(l)
-        return out
-
 
 def build_path(single_edges, k):
     """The connecting path for a coordinate set within 1..k."""
@@ -105,14 +95,13 @@ def build_path(single_edges, k):
             pos += 3
         spans.append((lo, pos))
     word.append(FORWARD)
-    return QPath(k, single_edges, tuple(word), tuple(spans))
+    return QPath(single_edges, tuple(word), tuple(spans))
 
 
 @dataclass(frozen=True)
 class GadgetPath:
     """One instantiated connecting path inside the gadget digraph."""
 
-    edge: tuple                 # (element, relation tuple)
     qpath: QPath
     vertices: tuple             # vertex names, position 0..last
 
@@ -132,13 +121,16 @@ def _internal_name(a, r, j):
 class GadgetDigraph:
     """The gadget digraph of a single-relation template.
 
-    Exposes the digraph itself, its level assignment, the ordered list of
-    element/tuple pairs (the construction order, used as a tie-breaking
-    order downstream), the instantiated path per pair, and per-vertex
-    bookkeeping (kind, level, owning pair, path position).
+    Exposes the digraph itself, its level assignment, the instantiated
+    path per element/tuple pair, and per-vertex bookkeeping (kind,
+    element or relation tuple, owning pair, path position).  The digraph
+    lists its vertices elements first, then relation tuples, then the
+    internal vertices of each connecting path, element-major and by
+    position along the path; the lift reads its tie orders off this
+    order.
     """
 
-    def __init__(self, template, max_pairs=4096):
+    def __init__(self, template):
         if not template.is_single_relation:
             raise InvalidStructureError(
                 "gadget construction needs a single-relation template; "
@@ -151,12 +143,9 @@ class GadgetDigraph:
         self.k = rel.arity
 
         pairs = len(template.domain) * len(rel.tuples)
-        if pairs > max_pairs:
+        if pairs > MAX_PAIRS:
             raise SizeGuardError(
-                f"gadget would use {pairs} connecting paths (bound {max_pairs})")
-
-        self.edge_order = tuple(
-            (a, r) for a in template.domain for r in rel.tuples)
+                f"gadget would use {pairs} connecting paths (bound {MAX_PAIRS})")
 
         vertices = [elem_name(a) for a in template.domain]
         vertices.extend(tup_name(r) for r in rel.tuples)
@@ -164,14 +153,13 @@ class GadgetDigraph:
         levels.update({tup_name(r): self.k + 2 for r in rel.tuples})
         self.vertex_info = {}
         for a in template.domain:
-            self.vertex_info[elem_name(a)] = VertexInfo("elem", 0, element=a)
+            self.vertex_info[elem_name(a)] = VertexInfo("elem", element=a)
         for r in rel.tuples:
-            self.vertex_info[tup_name(r)] = VertexInfo(
-                "tup", self.k + 2, rtuple=r)
+            self.vertex_info[tup_name(r)] = VertexInfo("tup", rtuple=r)
 
         edges = []
         self.paths = {}
-        for (a, r) in self.edge_order:
+        for a, r in itertools.product(template.domain, rel.tuples):
             coords = frozenset(i + 1 for i in range(self.k) if r[i] == a)
             qp = build_path(coords, self.k)
             names = [elem_name(a)]
@@ -183,9 +171,9 @@ class GadgetDigraph:
                 vertices.append(names[j])
                 levels[names[j]] = qlevels[j]
                 self.vertex_info[names[j]] = VertexInfo(
-                    "path", qlevels[j], edge=(a, r), position=j)
+                    "path", edge=(a, r), position=j)
             edges.extend(qp.edges(names))
-            self.paths[(a, r)] = GadgetPath((a, r), qp, tuple(names))
+            self.paths[(a, r)] = GadgetPath(qp, tuple(names))
 
         if len(set(vertices)) != len(vertices):
             raise InvalidStructureError(
@@ -207,7 +195,6 @@ class GadgetDigraph:
 @dataclass(frozen=True)
 class VertexInfo:
     kind: str                   # "elem" | "tup" | "path"
-    level: int
     element: str = None
     rtuple: tuple = None
     edge: tuple = None

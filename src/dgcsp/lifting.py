@@ -52,50 +52,6 @@ class LiftInvariantError(RuntimeError):
     """An internal invariant of the lifting construction failed."""
 
 
-class GadgetOrder:
-    """Tie-breaking orders on gadget vertices.
-
-    Every vertex is charged to a canonical connecting path: an element
-    to the path towards the first relation tuple, a tuple vertex to the
-    path from the first element, an internal vertex to its own path.
-    The low order compares by (level, element index then tuple index of
-    the charged path, position along it); the high order swaps the path
-    components to (tuple index, element index).  Both are total.
-
-    Two orders are needed because edge-compatible choices behave
-    differently at the two ends of the gadget: walking out of the
-    element row the path's element decides which successor is reachable,
-    while walking into the tuple row only the path's relation tuple
-    survives.
-    """
-
-    def __init__(self, gadget):
-        first_tuple = gadget.relation.tuples[0]
-        first_elem = gadget.template.domain[0]
-        a_index = {a: i for i, a in enumerate(gadget.template.domain)}
-        r_index = {r: i for i, r in enumerate(gadget.relation.tuples)}
-        key = {}
-        high_key = {}
-        for v, info in gadget.vertex_info.items():
-            if info.kind == "elem":
-                edge = (info.element, first_tuple)
-                pos = 0
-            elif info.kind == "tup":
-                edge = (first_elem, info.rtuple)
-                pos = gadget.paths[edge].qpath.last_position
-            else:
-                edge = info.edge
-                pos = info.position
-            ai, ri = a_index[edge[0]], r_index[edge[1]]
-            key[v] = (info.level, ai, ri, pos)
-            high_key[v] = (info.level, ri, ai, pos)
-        # rank -> vertex and vertex -> rank, in each order
-        self.by_low = sorted(key, key=key.__getitem__)
-        self.by_high = sorted(high_key, key=high_key.__getitem__)
-        self.low_rank = {v: i for i, v in enumerate(self.by_low)}
-        self.high_rank = {v: i for i, v in enumerate(self.by_high)}
-
-
 def in_diagonal_component(gadget, c):
     """Whether a tuple of gadget vertices lies in the weak component of
     the diagonal of the gadget's direct power.
@@ -136,8 +92,7 @@ def lift_endomorphism(gadget, phi):
                 f"map does not preserve the relation on {r}")
 
     op = LiftedOperation(gadget, 1, _row_evaluator(
-        gadget, GadgetOrder(gadget), _section_records(gadget),
-        phi.__getitem__, lambda z: z), name="endomorphism-lift")
+        gadget, phi.__getitem__, lambda z: z), name="endomorphism-lift")
     bad = polymorphism_failure_on_digraph(gadget.digraph, op)
     if bad is not None:
         raise LiftInvariantError(f"lift breaks edges: {bad}")
@@ -219,7 +174,7 @@ def lift_wnu(gadget, table):
     m = table.arity
     if m < 3:
         raise UnliftableSystemError("weak near-unanimity needs arity >= 3")
-    return _lift(gadget, wnu_system(m), {"w": table})["w"]
+    return lift_general(gadget, wnu_system(m), {"w": table})["w"]
 
 
 def lift_general(gadget, system, interps, budget=DEFAULT_BUDGET):
@@ -236,10 +191,6 @@ def lift_general(gadget, system, interps, budget=DEFAULT_BUDGET):
     Returns symbol -> :class:`LiftedOperation`; the lifted family
     satisfies the same system on the gadget digraph.
     """
-    return _lift(gadget, system, interps, budget)
-
-
-def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
     missing = set(system.symbols) - set(system.idempotent)
     if missing:
         raise UnliftableSystemError(
@@ -268,18 +219,43 @@ def _lift(gadget, system, interps, budget=DEFAULT_BUDGET):
         raise UnliftableSystemError(
             "the zigzag admits no interpretations of this system; "
             "the lift is not defined")
-
-    order = GadgetOrder(gadget)
-    records = _section_records(gadget)
     return {s: LiftedOperation(
-                gadget, m,
-                _row_evaluator(gadget, order, records, interps[s],
-                               zigzag_interps[s]),
+                gadget, m, _row_evaluator(gadget, interps[s],
+                                          zigzag_interps[s]),
                 name=f"{s}-lift")
             for s, m in system.symbols.items()}
 
 
-def _row_evaluator(gadget, order, records, f_elem, f_zig):
+def _tie_orders(gadget):
+    """Tie-breaking orders on gadget vertices: ``by_low``, ``low_rank``,
+    ``by_high`` and ``high_rank``, each order as a rank -> vertex list
+    and a vertex -> rank dict.
+
+    The gadget lists its vertices elements first, then relation tuples,
+    then the internal vertices of each connecting path, element-major
+    and by position along the path.  The low order sorts that list by
+    level, so ties stay element-major; the high order sorts it by level
+    and then by the relation tuple of the vertex's path, relation-major.
+    Both are total.
+
+    Two orders are needed because edge-compatible choices behave
+    differently at the two ends of the gadget: walking out of the
+    element row the path's element decides which successor is reachable,
+    while walking into the tuple row only the path's relation tuple
+    survives.
+    """
+    levels = gadget.levels.levels
+    tuple_index = {r: i for i, r in enumerate(gadget.relation.tuples)}
+    path_tuple = {v: tuple_index[x.rtuple if x.kind == "tup" else x.edge[1]]
+                  for v, x in gadget.vertex_info.items() if x.kind != "elem"}
+    by_low = sorted(gadget.digraph.vertices, key=levels.__getitem__)
+    by_high = sorted(gadget.digraph.vertices,
+                     key=lambda v: (levels[v], path_tuple.get(v, 0)))
+    return (by_low, {v: i for i, v in enumerate(by_low)},
+            by_high, {v: i for i, v in enumerate(by_high)})
+
+
+def _row_evaluator(gadget, f_elem, f_zig):
     """The row function of one lifted symbol: a prefix (every argument
     but the last) to the values for every last argument, in vertex
     order, and the counts of their cases.
@@ -298,8 +274,8 @@ def _row_evaluator(gadget, order, records, f_elem, f_zig):
     levels = gadget.levels.levels
     vertex_info = gadget.vertex_info
     relation = frozenset(gadget.relation.tuples)
-    low_rank, high_rank = order.low_rank, order.high_rank
-    by_low, by_high = order.by_low, order.by_high
+    by_low, low_rank, by_high, high_rank = _tie_orders(gadget)
+    records = _section_records(gadget)
     n = len(g.vertices)
     no_out = {v: not g.out_neighbors(v) for v in g.vertices}
     no_in = {v: not g.in_neighbors(v) for v in g.vertices}
@@ -501,13 +477,12 @@ def _section_records(gadget):
     offset into that section when the section is a zigzag in its path,
     else None."""
     out = {}
-    for v, info in gadget.vertex_info.items():
-        if info.kind == "path":
-            qp = gadget.paths[info.edge].qpath
-            offsets = {l: None if qp.is_single(l)
-                       else info.position - qp.section_spans[l - 1][0]
-                       for l in qp.sections_at(info.position)}
-            out[v] = (info.edge, offsets)
+    for edge, path in gadget.paths.items():
+        qp = path.qpath
+        for j, v in enumerate(path.vertices[1:-1], 1):
+            out[v] = (edge, {l: None if l in qp.single_edges else j - lo
+                             for l, (lo, hi) in enumerate(qp.section_spans, 1)
+                             if lo <= j <= hi})
     return out
 
 

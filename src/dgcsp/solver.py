@@ -250,6 +250,8 @@ class HomInstance:
         Returns a list of dicts (source element -> target element); with
         ``limit`` stops after that many solutions.
         """
+        if limit == 0:
+            return []
         masks = list(self._masks)
         if any(m == 0 for m in masks):
             return []

@@ -399,12 +399,10 @@ class CollapsedTemplate:
     """A multi-relation template rewritten over a single relation.
 
     The single relation is the product of the original relations in
-    declaration order; ``offsets[i]`` is the first coordinate of relation
-    i inside the combined tuples.
+    declaration order.
     """
 
     structure: RelationalStructure
-    offsets: tuple[int, ...]
 
     @property
     def relation(self):
@@ -428,17 +426,13 @@ def collapse_to_single_relation(structure):
     for r in structure.relations:
         if not r.tuples:
             raise EmptyRelationError(f"relation {r.name!r} has no tuples")
-    offsets = []
-    at = 0
-    for r in structure.relations:
-        offsets.append(at)
-        at += r.arity
     if structure.is_single_relation:
-        return CollapsedTemplate(structure, tuple(offsets))
+        return CollapsedTemplate(structure)
     combined = []
     for combo in itertools.product(*(r.tuples for r in structure.relations)):
         flat = tuple(itertools.chain.from_iterable(combo))
         combined.append(flat)
-    out = RelationalStructure(structure.domain, [("R", at, combined)])
-    return CollapsedTemplate(out, tuple(offsets))
+    arity = sum(r.arity for r in structure.relations)
+    out = RelationalStructure(structure.domain, [("R", arity, combined)])
+    return CollapsedTemplate(out)
 

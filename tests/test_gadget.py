@@ -5,7 +5,8 @@ import pytest
 from dgcsp.gadget import (GadgetDigraph, build_gadget, build_path,
                           count_formula, elem_name, tup_name)
 from dgcsp.reductions import compute_levels
-from dgcsp.structures import InvalidStructureError, SizeGuardError
+from dgcsp.structures import (InvalidStructureError, RelationalStructure,
+                              SizeGuardError)
 from dgcsp.templates import one_element, parity_template, two_cycle
 
 
@@ -20,7 +21,7 @@ def test_path_shape():
     # one initial edge, sections 1 and 3 single, section 2 a zigzag,
     # one final edge
     assert p.num_vertices == 3 * 3 + 2 - 2 * 2 + 1
-    assert p.is_single(1) and not p.is_single(2) and p.is_single(3)
+    assert p.single_edges == {1, 3}
     lv = p.levels()
     assert lv[0] == 0 and lv[-1] == 5
     assert max(lv) == 5
@@ -91,10 +92,10 @@ class TestTwoCycleGadget:
             if not g.out_neighbors(v):
                 # a peak: entered from both sides, strictly interior level
                 assert len(g.in_neighbors(v)) == 2
-                assert 2 <= info.level <= gadget.k + 1
+                assert 2 <= gadget.levels[v] <= gadget.k + 1
             if not g.in_neighbors(v):
                 assert len(g.out_neighbors(v)) == 2
-                assert 1 <= info.level <= gadget.k
+                assert 1 <= gadget.levels[v] <= gadget.k
 
 
 def test_parity_gadget_counts():
@@ -108,12 +109,13 @@ def test_one_element_gadget_counts():
 
 
 def test_size_guard():
-    with pytest.raises(SizeGuardError):
-        GadgetDigraph(two_cycle(), max_pairs=3)
+    # 65 elements and 64 unary tuples make 4,160 connecting paths
+    big = RelationalStructure(range(65), [("R", 1, [(i,) for i in range(64)])])
+    with pytest.raises(SizeGuardError, match="4160 connecting paths"):
+        GadgetDigraph(big)
 
 
 def test_multi_relation_template_is_rejected():
-    from dgcsp.structures import RelationalStructure
     s = RelationalStructure(
         ["0"], [("P", 1, [("0",)]), ("Q", 1, [("0",)])])
     with pytest.raises(InvalidStructureError):

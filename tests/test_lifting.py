@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -18,12 +19,13 @@ from dgcsp.algebra import (IdentitySystem, OperationTable,
                            zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name, tup_name
 from dgcsp.lifting import (LiftedOperation, LiftInvariantError,
-                           UnliftableSystemError, in_diagonal_component,
+                           UnliftableSystemError, _tie_orders,
+                           in_diagonal_component,
                            lift_endomorphism,
                            lift_general, lift_wnu,
                            polymorphism_failure_on_digraph,
                            verify_lifted_system)
-from dgcsp.selftest import diagonal_component_pairs
+from dgcsp.selftest import diagonal_component_pairs, random_template
 from dgcsp.solver import HomInstance
 from dgcsp.structures import Digraph, RelationalStructure
 from dgcsp.templates import (leq_template, one_element, parity_template,
@@ -617,11 +619,51 @@ def test_endomorphism_lift_is_the_unique_pinned_extension(template):
         assert HomInstance(d, d, pins).solve_all(limit=2) == [out], phi
 
 
+# -- tie orders -------------------------------------------------------
+
+
+def path_key_tie_orders(gadget):
+    """The tie orders by the rule they were first defined by: each vertex
+    is charged to a connecting path (an element to its path towards the
+    first relation tuple, a tuple vertex to the path from the first
+    element, a path vertex to its own) and keyed by its level, the
+    element and tuple indices of that path and its position along it;
+    the high key swaps the two indices."""
+    domain, tuples = gadget.template.domain, gadget.relation.tuples
+    low, high = {}, {}
+    for v, info in gadget.vertex_info.items():
+        if info.kind == "elem":
+            (a, r), pos = (info.element, tuples[0]), 0
+        elif info.kind == "tup":
+            a, r = domain[0], info.rtuple
+            pos = gadget.paths[(a, r)].qpath.last_position
+        else:
+            (a, r), pos = info.edge, info.position
+        ai, ri = domain.index(a), tuples.index(r)
+        low[v] = (gadget.levels[v], ai, ri, pos)
+        high[v] = (gadget.levels[v], ri, ai, pos)
+    return [sorted(key, key=key.__getitem__) for key in (low, high)]
+
+
+def test_tie_orders_follow_the_path_key_rule():
+    rng = random.Random(15)
+    templates = [t() for t in ENDOMORPHISM_TEMPLATES.values()]
+    templates += [random_template(rng) for _ in range(200)]
+    for template in templates:
+        gadget = build_gadget(template)
+        by_low, low_rank, by_high, high_rank = _tie_orders(gadget)
+        want_low, want_high = path_key_tie_orders(gadget)
+        assert list(by_low) == want_low
+        assert list(by_high) == want_high
+        assert low_rank == {v: i for i, v in enumerate(want_low)}
+        assert high_rank == {v: i for i, v in enumerate(want_high)}
+
+
 # -- golden tables ----------------------------------------------------
 
 
 GOLDEN_TEMPLATES = {"2cycle": two_cycle, "leq": leq_template,
-                    "C3": directed_three_cycle}
+                    "C3": directed_three_cycle, "parity": parity_template}
 GOLDEN_SYSTEMS = {"wnu3": lambda: wnu_system(3), "majority": majority_system,
                   "binary": commutative_idempotent_binary_system,
                   "wnu4": lambda: wnu_system(4), "kkvw": kkvw_system,
@@ -653,6 +695,8 @@ GOLDEN_DIGESTS = {
         "b4a10ff8df1577f75984185a1230cb725bdc3517d1444f354e0d0fcc24fab993",
     ("C3", "binary"):
         "98437980954a70799a1c236cf9aef9d3e69ed57391c64833c4583bfce48aa2db",
+    ("parity", "wnu3"):
+        "0b1e3fafcb454405ef9b10ecc1d733864be2c807ebbc12c9ee823318c897bb31",
 }
 
 

@@ -126,6 +126,14 @@ def test_hom_instance_solve_all_limit():
     assert len(inst.solve_all(limit=1)) == 1
 
 
+def test_zero_limit_returns_no_solution_before_any_search():
+    # the two-cycle has two endomorphisms, and telling them apart takes
+    # a branch, which a zero budget does not allow
+    assert algebra.endomorphisms(two_cycle(), limit=0) == []
+    assert algebra.endomorphisms(two_cycle(), budget=0, limit=0) == []
+    assert len(algebra.endomorphisms(two_cycle(), limit=1)) == 1
+
+
 # -- oracle: brute-force enumeration on tiny random instances ------------
 
 def _reference_search(nvars, constraints, doms, nodes):

@@ -182,7 +182,6 @@ def test_collapse_concatenates_relations():
         [("P", 1, [("0",), ("1",)]), ("E", 2, [("0", "1")])])
     col = collapse_to_single_relation(s)
     assert col.arity == 3
-    assert col.offsets == (0, 1)
     assert set(col.relation.tuples) == {("0", "0", "1"), ("1", "0", "1")}
 
 
