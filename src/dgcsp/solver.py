@@ -9,6 +9,7 @@ deterministic: smallest domain first (ties by variable position), values
 in target order.  The branching variable is found from one list of
 domain sizes per node, built and searched by builtins.
 
+Scopes and support tuples are the relations' position columns, zipped.
 Support is precomputed once per target relation and shared by every
 constraint on it.  For a binary relation each value has a bitmask of its
 in-neighbours and one of its out-neighbours, and a memo per direction
@@ -25,6 +26,7 @@ outcome, never as "no".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -75,7 +77,7 @@ class _Support:
         return sup
 
 
-@dataclass
+@dataclass(slots=True)
 class _Constraint:
     scope: tuple[int, ...]          # variable positions
     support: _Support               # the target relation it ranges over
@@ -121,20 +123,22 @@ class HomInstance:
                 xi = self._var_index(x)
                 self._masks[xi] &= 1 << self._val_index(v)
 
-        self.constraints = []
+        # each distinct variable of a scope watches its constraint
+        self.constraints = constraints = []
+        watch = self._watch = [[] for _ in self.vars]
         for r in source.relations:
-            support = _Support(
-                (tuple(target.index(x) for x in t)
-                 for t in target.relation(r.name).tuples), r.arity, nvals)
-            for st in r.tuples:
-                scope = tuple(source.index(x) for x in st)
-                self.constraints.append(_Constraint(scope, support))
-
-        # which constraints watch each variable
-        self._watch = [[] for _ in self.vars]
-        for ci, c in enumerate(self.constraints):
-            for xi in set(c.scope):
-                self._watch[xi].append(ci)
+            support = _Support(zip(*target.relation(r.name).columns),
+                               r.arity, nvals)
+            if r.arity == 2:
+                for c, x0, x1 in zip(count(len(constraints)), *r.columns):
+                    watch[x0].append(c)
+                    if x1 != x0:
+                        watch[x1].append(c)
+            else:
+                for c, scope in enumerate(zip(*r.columns), len(constraints)):
+                    for xi in set(scope):
+                        watch[xi].append(c)
+            constraints += map(_Constraint, zip(*r.columns), repeat(support))
 
     def _var_index(self, x):
         try:

@@ -6,15 +6,17 @@ digraphs, each of which is a structure with one binary relation.  Both
 are immutable once built and keep their contents in a canonical order so
 that serialization and search are deterministic.
 
-Element and vertex names are strings.  Relation tuples are stored as
-tuples of element names, sorted by domain position.  Only the structure
-constructor makes them so; a digraph is built through it.
+Element and vertex names are strings.  Only the structure constructor
+(a digraph is built through it) makes relation tuples canonical: it sorts
+them as domain positions and keeps both forms, names and positions.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class InvalidStructureError(ValueError):
@@ -57,11 +59,13 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class Relation:
-    """A named relation: a set of same-length tuples of element names."""
+    """A named relation: a set of same-length tuples of element names;
+    in a built structure, ``columns`` holds their domain positions."""
 
     name: str
     arity: int
     tuples: tuple[tuple[str, ...], ...]
+    columns: tuple = field(default=(), compare=False, repr=False)
 
 
 class RelationalStructure:
@@ -72,8 +76,9 @@ class RelationalStructure:
 
     This constructor is the one place where names become strings and
     relations become canonical: it rejects duplicate elements, unknown
-    elements and tuples of the wrong length, removes repeated tuples and
-    sorts the rest by domain position.  The domain may be empty.
+    elements and tuples of the wrong length, turns tuples into domain
+    positions, removes repeats and sorts the rest, and keeps both forms:
+    ``tuples`` of names, ``columns`` of positions.  The domain may be empty.
     """
 
     def __init__(self, domain, relations):
@@ -100,7 +105,9 @@ class RelationalStructure:
                 raise InvalidStructureError(f"relation {name!r} has arity {arity}")
             canon = set()
             if arity == 2:
-                # the digraph case, unrolled: most tuples built are edges
+                # the digraph case, unrolled: most tuples built are edges,
+                # and an edge at positions (i, j) sorts as i * n + j
+                n = len(domain)
                 for t in tuples:
                     try:
                         u, v = t
@@ -109,28 +116,32 @@ class RelationalStructure:
                             f"tuple {tuple(t)} of {name!r} does not have "
                             "arity 2") from None
                     u, v = str(u), str(v)
-                    if u not in index or v not in index:
-                        x = u if u not in index else v
+                    try:
+                        canon.add(index[u] * n + index[v])
+                    except KeyError as e:
                         raise InvalidStructureError(
-                            f"tuple {(u, v)} of {name!r} uses {x!r}, which "
-                            "is not an element")
-                    canon.add((u, v))
-                ordered = sorted(canon, key=lambda e: (index[e[0]], index[e[1]]))
+                            f"tuple {(u, v)} of {name!r} uses {e.args[0]!r}, "
+                            "which is not an element") from None
+                keys = sorted(canon)
+                columns = (array("i", [k // n for k in keys]),
+                           array("i", [k % n for k in keys]))
             else:
                 for t in tuples:
                     t = tuple(map(str, t))
                     if len(t) != arity:
                         raise InvalidStructureError(
                             f"tuple {t} of {name!r} does not have arity {arity}")
-                    for x in t:
-                        if x not in index:
-                            raise InvalidStructureError(
-                                f"tuple {t} of {name!r} uses {x!r}, which is "
-                                "not an element")
-                    canon.add(t)
-                ordered = sorted(
-                    canon, key=lambda t: tuple(map(index.__getitem__, t)))
-            rels.append(Relation(name, int(arity), tuple(ordered)))
+                    try:
+                        canon.add(tuple(map(index.__getitem__, t)))
+                    except KeyError as e:
+                        raise InvalidStructureError(
+                            f"tuple {t} of {name!r} uses {e.args[0]!r}, which "
+                            "is not an element") from None
+                ordered = sorted(canon)
+                columns = tuple(array("i", map(itemgetter(i), ordered))
+                                for i in range(arity))
+            named = zip(*(map(domain.__getitem__, c) for c in columns))
+            rels.append(Relation(name, int(arity), tuple(named), columns))
         self.relations = tuple(rels)
         self._by_name = {r.name: r for r in self.relations}
 

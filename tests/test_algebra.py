@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from dgcsp import selftest
 from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
                            check_identities,
                            commutative_idempotent_binary_system, core_of,
@@ -7,6 +11,7 @@ from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
                            is_core, kkvw_system, majority_system,
                            maltsev_system, three_permutability_system,
                            wnu_system, zigzag_operations)
+from dgcsp.gadget import build_gadget, elem_name
 from dgcsp.structures import RelationalStructure
 from dgcsp.templates import (leq_template, parity_template, two_cycle,
                              zigzag_digraph_template)
@@ -211,6 +216,66 @@ def test_zigzag_operations_satisfy_their_systems():
 def test_zigzag_has_no_maltsev():
     assert find_interpretations(zigzag_digraph_template(),
                                 maltsev_system()) is None
+
+
+# -- the preservation theorem, searched on the gadget -----------------
+
+
+def _preserves(f, relation):
+    """Whether the binary map ``f`` (a dict on pairs) sends every two
+    tuples of ``relation`` coordinatewise into it."""
+    related = set(relation.tuples)
+    return all(tuple(map(lambda a, b: f[a, b], s, t)) in related
+               for s in relation.tuples for t in relation.tuples)
+
+
+def _commutative_idempotent_exists(structure):
+    """Brute force: some idempotent ``f(x, y) = f(y, x)`` preserves
+    every relation."""
+    pairs = list(itertools.combinations(structure.domain, 2))
+    for values in itertools.product(structure.domain, repeat=len(pairs)):
+        f = {(a, a): a for a in structure.domain}
+        for (a, b), v in zip(pairs, values):
+            f[a, b] = f[b, a] = v
+        if all(_preserves(f, r) for r in structure.relations):
+            return True
+    return False
+
+
+def test_template_and_gadget_have_the_same_commutative_operations():
+    """On small random templates A, a commutative idempotent binary
+    operation exists on A exactly when the indicator search finds one on
+    the gadget D(A), searched as a plain structure; a found operation
+    maps element vertices to element vertices, and restricted to them it
+    is such an operation of A."""
+    system = commutative_idempotent_binary_system()
+    rng = random.Random(4)
+    answers = []
+    for _ in range(40):
+        a = selftest.random_template(rng, max_elements=3, max_arity=3,
+                                     max_tuples=4)
+        expected = _commutative_idempotent_exists(a)
+        out = find_interpretations(build_gadget(a).digraph.as_structure(),
+                                   system)
+        assert (out is not None) == expected
+        answers.append(expected)
+        if out is not None:
+            elem = {elem_name(x): x for x in a.domain}
+            f = {(x, y): elem.get(out["f"](elem_name(x), elem_name(y)))
+                 for x in a.domain for y in a.domain}
+            assert None not in f.values()
+            assert all(f[x, x] == x and f[x, y] == f[y, x]
+                       for x, y in f)
+            assert _preserves(f, a.relations[0])
+    assert 0 < answers.count(False) < len(answers)
+
+
+def test_maltsev_holds_on_the_two_cycle_but_not_on_its_gadget():
+    """The control: the paper's preservation does not cover Maltsev
+    terms, and ``2cycle`` is where they part."""
+    assert find_interpretations(two_cycle(), maltsev_system()) is not None
+    gadget = build_gadget(two_cycle()).digraph.as_structure()
+    assert find_interpretations(gadget, maltsev_system()) is None
 
 
 # -- endomorphisms and cores ------------------------------------------

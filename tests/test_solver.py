@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcsp import algebra
+from dgcsp import algebra, selftest
 from dgcsp.gadget import build_gadget
 from dgcsp.reductions import forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
@@ -342,3 +342,80 @@ def test_pinned_search(name, monkeypatch):
     assert got == digest
     with pytest.raises(BudgetExhausted):
         inst.solve_all(budget=nodes - 1, limit=1)
+
+
+def _directed_cycle(n):
+    d = [str(i) for i in range(n)]
+    return RelationalStructure(
+        d, [("E", 2, [(d[i], d[(i + 1) % n]) for i in range(n)])])
+
+
+def _complete_graph(n):
+    d = [str(i) for i in range(n)]
+    return RelationalStructure(
+        d, [("E", 2, [(a, b) for a in d for b in d if a != b])])
+
+
+def test_indicator_search_tables_are_pinned():
+    """Every table row that ``find_interpretations`` returns on the
+    benchmark's indicator-search grid, by one digest: WNU-3, WNU-4 and
+    majority on T4, T5, C4 and C5, and none of them on K4."""
+    templates = [("T4", _transitive_tournament(4)),
+                 ("T5", _transitive_tournament(5)),
+                 ("C4", _directed_cycle(4)), ("C5", _directed_cycle(5)),
+                 ("K4", _complete_graph(4))]
+    systems = [("wnu3", algebra.wnu_system(3)),
+               ("wnu4", algebra.wnu_system(4)),
+               ("majority", algebra.majority_system())]
+    h = hashlib.sha256()
+    for tname, template in templates:
+        for sname, system in systems:
+            out = algebra.find_interpretations(template, system)
+            assert (out is None) == (tname == "K4")
+            rows = None if out is None else {
+                s: [list(args) + [value] for args, value in t.rows()]
+                for s, t in sorted(out.items())}
+            h.update(json.dumps([tname, sname, rows]).encode())
+    assert h.hexdigest() == (
+        "c64a366db71662cbe45cf875a93eaa739b1becfab5c84db252e5b6e20fbb7093")
+
+
+def _instances_to_read():
+    """Solver inputs of every shape the library builds: random
+    multi-relation instance pairs, forward digraphs into gadgets, and an
+    indicator instance with a ternary and a binary relation."""
+    rng = random.Random(16)
+    for _ in range(100):
+        template, instance = selftest.random_instance_pair(rng)
+        yield instance, template
+    for template in (two_cycle(), leq_template(), _k3()):
+        inst = _forward_instance(_two_tree(12, 2), template)
+        yield inst.source, inst.target
+    source = RelationalStructure(
+        range(6), [("R", 3, [(5, 0, 1), (2, 2, 0), (1, 4, 3), (5, 0, 1)]),
+                   ("E", 2, [(3, 3), (4, 1), (0, 5)])])
+    target = RelationalStructure(
+        "ab", [("E", 2, [("b", "a"), ("a", "a")]),
+               ("R", 3, [("b", "b", "a"), ("a", "b", "b")])])
+    yield source, target
+
+
+def test_scopes_and_supports_are_the_tuples_positions():
+    """Constraint scopes, support tuples and watch lists equal what the
+    rule ``tuple(structure.index(x) for x in t)`` gives, in order."""
+    for source, target in _instances_to_read():
+        inst = HomInstance(source, target)
+        scopes, supports = [], []
+        for r in source.relations:
+            allowed = tuple(tuple(target.index(x) for x in t)
+                            for t in target.relation(r.name).tuples)
+            for t in r.tuples:
+                scopes.append(tuple(source.index(x) for x in t))
+                supports.append(allowed)
+        assert [c.scope for c in inst.constraints] == scopes
+        assert [c.support.tuples for c in inst.constraints] == supports
+        watch = [[] for _ in source.domain]
+        for ci, scope in enumerate(scopes):
+            for xi in set(scope):
+                watch[xi].append(ci)
+        assert inst._watch == watch

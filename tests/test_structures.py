@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcsp import selftest
 from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure,
                               compute_levels, stage3a_from_json,
                               stage3a_to_json)
 from dgcsp.solver import digraph_hom
 from dgcsp.structures import (Digraph, EmptyRelationError,
-                              InvalidStructureError, RelationalStructure,
+                              InvalidStructureError, Relation,
+                              RelationalStructure,
                               collapse_to_single_relation, digraph_to_dot)
 from dgcsp.templates import leq_template, two_cycle
 
@@ -215,3 +217,48 @@ def test_dot_output_mentions_every_vertex():
     assert '"u" -> "v";' in dot
     assert "rank=same" in dot
     assert dot.endswith("}\n")
+
+
+def _structures_and_inputs():
+    """Structures with the relation tuples they were built from: 200
+    random templates rebuilt over a shuffled domain from integer tuples
+    with repeats (arities 1 to 4), digraphs with shuffled vertex order
+    and repeated edges, and an empty relation next to a 4-ary one."""
+    rng = random.Random(16)
+    for _ in range(200):
+        (r,) = selftest.random_template(rng).relations
+        given = [tuple(map(int, t)) for t in r.tuples]
+        given += rng.choices(given, k=rng.randint(0, 3))
+        rng.shuffle(given)
+        domain = list(range(max(map(max, given)) + rng.randint(1, 3)))
+        rng.shuffle(domain)
+        yield (RelationalStructure(domain, [Relation("R", r.arity, given)]),
+               {"R": given})
+    for _ in range(50):
+        names = [f"v{i}" for i in range(rng.randint(0, 9))]
+        rng.shuffle(names)
+        edges = [(rng.choice(names), rng.choice(names))
+                 for _ in range(rng.randint(0, 12) if names else 0)]
+        g = Digraph(names, edges + edges[:2])
+        yield g.as_structure(), {"E": edges}
+    quad = [(3, 1, 2, 0), (0, 0, 0, 0), (3, 1, 2, 0), (1, 3, 0, 2)]
+    yield RelationalStructure(
+        [3, 1, 0, 2], [Relation("Q", 4, quad), Relation("P", 1, [(2,)]),
+                       ("Z", 3, [])]), {"Q": quad, "P": [(2,)], "Z": []}
+
+
+def test_positions_agree_with_names():
+    """Each relation keeps its tuples as domain positions, one column per
+    coordinate; mapped through the domain they give ``tuples`` in order,
+    and that order is the input's distinct tuples sorted by position."""
+    for s, given in _structures_and_inputs():
+        index = {x: i for i, x in enumerate(s.domain)}
+        for r in s.relations:
+            positions = sorted({tuple(index[str(x)] for x in t)
+                                for t in given[r.name]})
+            assert r.tuples == tuple(tuple(s.domain[i] for i in p)
+                                     for p in positions)
+            assert len(r.columns) == r.arity
+            assert list(zip(*r.columns)) == positions
+            assert [tuple(s.domain[i] for i in p)
+                    for p in zip(*r.columns)] == list(r.tuples)
