@@ -149,8 +149,7 @@ class GadgetDigraph:
 
         vertices = [elem_name(a) for a in template.domain]
         vertices.extend(tup_name(r) for r in rel.tuples)
-        levels = {elem_name(a): 0 for a in template.domain}
-        levels.update({tup_name(r): self.k + 2 for r in rel.tuples})
+        levels = [0] * len(template.domain) + [self.height] * len(rel.tuples)
         self.vertex_info = {}
         for a in template.domain:
             self.vertex_info[elem_name(a)] = VertexInfo("elem", element=a)
@@ -169,7 +168,7 @@ class GadgetDigraph:
             qlevels = qp.levels()
             for j in range(1, qp.last_position):
                 vertices.append(names[j])
-                levels[names[j]] = qlevels[j]
+                levels.append(qlevels[j])
                 self.vertex_info[names[j]] = VertexInfo(
                     "path", edge=(a, r), position=j)
             edges.extend(qp.edges(names))
@@ -179,7 +178,8 @@ class GadgetDigraph:
             raise InvalidStructureError(
                 "element names collide under gadget naming; rename them")
         self.digraph = Digraph(vertices, edges)
-        self.levels = LevelAssignment(levels, self.k + 2)
+        self.levels = LevelAssignment(self.digraph.vertices, levels,
+                                      self.height)
 
         expect = count_formula(len(template.domain), len(rel.tuples), self.k)
         got = (self.digraph.num_vertices(), self.digraph.num_edges())

@@ -64,8 +64,8 @@ def in_diagonal_component(gadget, c):
     """
     g = gadget.digraph
     return (len({gadget.levels[x] for x in c}) == 1
-            and not (any(not g.out_neighbors(x) for x in c)
-                     and any(not g.in_neighbors(x) for x in c)))
+            and not (any(not g.succ[g.index(x)] for x in c)
+                     and any(not g.pred[g.index(x)] for x in c)))
 
 
 # ---------------------------------------------------------------------
@@ -277,8 +277,8 @@ def _row_evaluator(gadget, f_elem, f_zig):
     by_low, low_rank, by_high, high_rank = _tie_orders(gadget)
     records = _section_records(gadget)
     n = len(g.vertices)
-    no_out = {v: not g.out_neighbors(v) for v in g.vertices}
-    no_in = {v: not g.in_neighbors(v) for v in g.vertices}
+    no_out = {v: not s for v, s in zip(g.vertices, g.succ)}
+    no_in = {v: not p for v, p in zip(g.vertices, g.pred)}
     classes = {}    # (level, no out-edge, no in-edge) -> [(position, vertex)]
     for i, y in enumerate(g.vertices):
         classes.setdefault((levels[y], no_out[y], no_in[y]), []).append((i, y))
@@ -510,12 +510,11 @@ def polymorphism_failure_on_digraph(g, op):
     if not edges:
         return None
     verts = g.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    out = {v: g.out_neighbors(v) for v in verts}
+    out = {v: tuple(map(verts.__getitem__, s)) for v, s in zip(verts, g.succ)}
     # getters of the entries at every edge's tail and at its head, always
     # tuples (the first edge is given twice)
-    ends = [(pos[t], pos[y]) for t, y in g.edges]
-    at_tails, at_heads = (itemgetter(*at, at[0]) for at in zip(*ends))
+    at_tails, at_heads = (itemgetter(*at, at[0])
+                          for at in g.as_structure().relations[0].columns)
     row = getattr(op, "row", None) or _rows_by_call(op, verts)
     for prefix in itertools.product([t for t in verts if out[t]],
                                     repeat=op.arity - 1):
@@ -526,13 +525,14 @@ def polymorphism_failure_on_digraph(g, op):
         if all(edges.issuperset(zip(tail_images, at_heads(head_row)))
                for _, head_row in head_rows):
             continue
-        for t in verts:
-            image = tail_row[pos[t]]
+        for t, ys in enumerate(g.succ):
+            image = tail_row[t]
             for head, head_row in head_rows:
-                for y in out[t]:
-                    value = head_row[pos[y]]
+                for y in ys:
+                    value = head_row[y]
                     if (image, value) not in edges:
-                        return (tuple(zip(prefix + (t,), head + (y,))),
+                        return (tuple(zip(prefix + (verts[t],),
+                                          head + (verts[y],))),
                                 (image, value))
     return None
 

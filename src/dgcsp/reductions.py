@@ -8,19 +8,20 @@ in its block by a connecting path that records the variable's coordinate.
 Backward direction: an arbitrary digraph G is reduced against D(A) in
 stages.  Stage 1 rejects digraphs that are not balanced or are taller
 than the gadget.  Stage 2 solves components shorter than the gadget
-outright and drops them.  Stage 3 looks at each remaining component's
-interior pieces.  One pass finds each piece, its bases and tops, and its
-shape: the piece renamed by position, with its base- and top-adjacent
-positions.  The coordinates a piece blocks are computed from the shape
-alone, once per distinct shape (pieces of a forward digraph repeat a
-handful of shapes).  Those blocked coordinates are compiled into
-generalized hyperedges plus forced equalities, which are then
-amalgamated into an instance B over A's collapsed signature with
-G -> D(A) iff B -> A.
+outright and leaves them out.  Stage 3 walks the interior vertex
+positions of the remaining components once, with no subgraph copy, to
+find each interior piece, its bases and tops, and its shape: the piece
+renamed by position, with its base- and top-adjacent positions.  The
+coordinates a piece blocks are computed from the shape alone, once per
+distinct shape (pieces of a forward digraph repeat a handful of
+shapes).  Those blocked coordinates are compiled into generalized
+hyperedges plus forced equalities, which are then amalgamated into an
+instance B over A's collapsed signature with G -> D(A) iff B -> A.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .gadget import build_gadget, build_path
@@ -72,48 +73,42 @@ def compute_levels(g, max_height=None):
     """Level function of a digraph, or why there is none.
 
     Every edge must go from level l to level l+1; levels are normalized
-    to minimum 0 on each weak component.  Returns a
-    :class:`LevelAssignment`, with the weak components the leveling
+    to minimum 0 on each weak component.  One walk over vertex positions
+    returns a :class:`LevelAssignment`, with the weak components it
     walks, or a :class:`LevelingFailure` (when the digraph is not
     balanced, or exceeds ``max_height``).
     """
-    levels = {}
+    succ, pred, vs = g.succ, g.pred, g.vertices
+    level = [None] * len(vs)
     components = []
-    height = 0
-    for start in g.vertices:
-        if start in levels:
+    for start in range(len(vs)):
+        if level[start] is not None:
             continue
-        tentative = {start: 0}
-        stack = [start]
+        level[start] = 0
+        comp, stack = [start], [start]
         while stack:
             v = stack.pop()
-            for w in g.out_neighbors(v):
-                if w in tentative:
-                    if tentative[w] != tentative[v] + 1:
+            # out-neighbours first, then in-neighbours
+            for ws, want in ((succ[v], level[v] + 1), (pred[v], level[v] - 1)):
+                for w in ws:
+                    if level[w] is None:
+                        level[w] = want
+                        comp.append(w)
+                        stack.append(w)
+                    elif level[w] != want:
+                        t, h = (v, w) if want > level[v] else (w, v)
                         return LevelingFailure(
-                            "not balanced",
-                            f"edge ({v}, {w}) closes an unbalanced cycle")
-                else:
-                    tentative[w] = tentative[v] + 1
-                    stack.append(w)
-            for w in g.in_neighbors(v):
-                if w in tentative:
-                    if tentative[w] != tentative[v] - 1:
-                        return LevelingFailure(
-                            "not balanced",
-                            f"edge ({w}, {v}) closes an unbalanced cycle")
-                else:
-                    tentative[w] = tentative[v] - 1
-                    stack.append(w)
-        low = min(tentative.values())
-        for v, l in tentative.items():
-            levels[v] = l - low
-        height = max(height, max(tentative.values()) - low)
-        components.append(sorted(tentative, key=g.index))
+                            "not balanced", f"edge ({vs[t]}, {vs[h]}) "
+                            "closes an unbalanced cycle")
+        low = min(map(level.__getitem__, comp))
+        for v in comp:
+            level[v] -= low
+        components.append(sorted(comp))
+    height = max(level, default=0)
     if max_height is not None and height > max_height:
         return LevelingFailure(
             "too tall", f"height {height} exceeds bound {max_height}")
-    return LevelAssignment(levels, height, tuple(components))
+    return LevelAssignment(g.vertices, level, height, tuple(components))
 
 
 # ---------------------------------------------------------------------
@@ -214,38 +209,42 @@ class InternalComponent:
 
 
 def internal_components(g, levels, n, k, budget):
-    """Interior pieces of a leveled digraph of height n, each with the
-    coordinates it blocks; :func:`forced_positions` runs once per
+    """Interior pieces of the components of a leveled digraph that reach
+    height n, found by one walk over their interior positions, each with
+    the coordinates it blocks; :func:`forced_positions` runs once per
     distinct shape (pieces of a forward digraph repeat a handful)."""
-    interior = [v for v in g.vertices if 0 < levels[v] < n]
-    sub = g.induced(interior)
+    succ, pred, vs = g.succ, g.pred, g.vertices
+    level = levels.by_position
+    interior = sorted(v for comp in levels.position_components
+                      if max(map(level.__getitem__, comp)) == n
+                      for v in comp if 0 < level[v] < n)
     gammas = {}
     out = []
-    for comp in sub.weak_components():
+    for comp in g._components(interior):
         pos = {v: i for i, v in enumerate(comp)}
         bases, tops = set(), set()
         base_adj, top_adj = [], []
         for i, c in enumerate(comp):     # edges climb one level
-            if levels[c] == 1 and g.in_neighbors(c):
-                bases.update(g.in_neighbors(c))
+            if level[c] == 1 and pred[c]:
+                bases.update(pred[c])
                 base_adj.append(i)
-            if levels[c] == n - 1 and g.out_neighbors(c):
-                tops.update(g.out_neighbors(c))
+            if level[c] == n - 1 and succ[c]:
+                tops.update(succ[c])
                 top_adj.append(i)
         if not bases and not tops:
             raise AssertionError(
                 "interior piece with neither bases nor tops inside a "
-                f"height-{n} component: {comp[:5]}...")
+                f"height-{n} component: {[vs[v] for v in comp[:5]]}...")
         shape = (tuple([(i, pos[w]) for i, u in enumerate(comp)
-                        for w in sub.out_neighbors(u)]),
+                        for w in succ[u] if w in pos]),
                  tuple(base_adj), tuple(top_adj), len(comp))
         gamma = gammas.get(shape)
         if gamma is None:
             gamma = gammas[shape] = forced_positions(shape, k, budget)
         out.append(InternalComponent(
-            tuple(comp),
-            tuple(sorted(bases, key=g.index)),
-            tuple(sorted(tops, key=g.index)),
+            tuple(map(vs.__getitem__, comp)),
+            tuple(map(vs.__getitem__, sorted(bases))),
+            tuple(map(vs.__getitem__, sorted(tops))),
             shape, gamma))
     return out
 
@@ -345,23 +344,14 @@ def extract_hyperedges(level_n, level_0, comps, k):
 
     for b in level_0:
         for comp in topless_by_base.get(b, ()):
-            entries = []
-            for i in range(1, k + 1):
-                if i in comp.gamma:
-                    entries.append(frozenset({b}))
-                else:
-                    entries.append(frozenset({fresh.next()}))
+            entries = [frozenset({b if i in comp.gamma else fresh.next()})
+                       for i in range(1, k + 1)]
             hyperedges.append(GeneralizedHyperedge(tuple(entries)))
 
-    equalities = []
-    for comp in comps:
-        for a in range(len(comp.tops)):
-            for b in range(a + 1, len(comp.tops)):
-                equalities.append((comp.tops[a], comp.tops[b]))
-    for comp in comps:
-        for a in range(len(comp.bases)):
-            for b in range(a + 1, len(comp.bases)):
-                equalities.append((comp.bases[a], comp.bases[b]))
+    equalities = [pair for comp in comps
+                  for pair in itertools.combinations(comp.tops, 2)]
+    equalities += [pair for comp in comps
+                   for pair in itertools.combinations(comp.bases, 2)]
 
     return tuple(hyperedges), tuple(equalities)
 
@@ -540,29 +530,25 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     if isinstance(levels, LevelingFailure):
         return Definite(False, f"{levels.reason}: {levels.detail}")
 
+    vs = g.vertices
+    level = levels.by_position
     kept = []
-    components = levels.components
-    for comp in components:
-        h = max(levels[v] for v in comp)
-        if h < n:
-            sub = g.induced(comp)
+    for comp in levels.position_components:
+        if max(map(level.__getitem__, comp)) < n:
+            sub = g.induced(map(vs.__getitem__, comp))
             if digraph_hom(sub, gad.digraph, budget=budget) is None:
                 return Definite(
                     False,
-                    f"short component at {comp[0]!r} has no image in the gadget")
+                    f"short component at {vs[comp[0]]!r} has no image in "
+                    "the gadget")
         else:
             kept.append(comp)
     if not kept:
         return Definite(True, "every component is short and embeddable")
 
-    if len(kept) == len(components):
-        g2 = g
-    else:
-        g2 = g.induced([v for comp in kept for v in comp])
-
-    comps = internal_components(g2, levels, n, k, budget)
-    level_n = [v for v in g2.vertices if levels[v] == n]
-    level_0 = [v for v in g2.vertices if levels[v] == 0]
+    comps = internal_components(g, levels, n, k, budget)
+    level_n = [v for v, l in zip(vs, level) if l == n]
+    level_0 = [vs[v] for v in sorted(itertools.chain(*kept)) if level[v] == 0]
     hyperedges, equalities = extract_hyperedges(level_n, level_0, comps, k)
     res = amalgamate(hyperedges, equalities,
                      relation_name=col.relation.name, arity=k)

@@ -367,17 +367,16 @@ def criterion_9(seed=42):
 def diagonal_component_pairs(g):
     """Pairs of vertices in the weak component of the diagonal of the
     digraph's square, found by breadth-first search."""
-    diag = {(v, v) for v in g.vertices}
+    diag = {(v, v) for v in range(len(g.vertices))}
     frontier = list(diag)
     while frontier:
         u, v = frontier.pop()
-        for p in itertools.chain(
-                itertools.product(g.out_neighbors(u), g.out_neighbors(v)),
-                itertools.product(g.in_neighbors(u), g.in_neighbors(v))):
+        for p in itertools.chain(itertools.product(g.succ[u], g.succ[v]),
+                                 itertools.product(g.pred[u], g.pred[v])):
             if p not in diag:
                 diag.add(p)
                 frontier.append(p)
-    return diag
+    return {(g.vertices[u], g.vertices[v]) for u, v in diag}
 
 
 def criterion_10(seed=42):

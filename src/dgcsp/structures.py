@@ -8,7 +8,8 @@ that serialization and search are deterministic.
 
 Element and vertex names are strings.  Only the structure constructor
 (a digraph is built through it) makes relation tuples canonical: it sorts
-them as domain positions and keeps both forms, names and positions.
+them as domain positions and keeps both forms, names and positions.  A
+digraph's adjacency is read off those position columns, as positions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -258,7 +260,9 @@ class Digraph:
     A digraph is a structure with one binary relation ``E``, built once
     by :class:`RelationalStructure`: vertex names become strings, and
     edges are kept without repeats, sorted by endpoint positions.  Vertex
-    order is significant (deterministic iteration).
+    order is significant (deterministic iteration).  From the edge
+    columns, ``succ`` and ``pred`` hold per vertex position the ascending
+    positions of its out- and in-neighbours; walks run on them.
     """
 
     def __init__(self, vertices, edges):
@@ -267,13 +271,14 @@ class Digraph:
         self.vertices = structure.domain
         self.edges = structure.relations[0].tuples
         self._index = structure._index
-        out = {v: [] for v in self.vertices}
-        inc = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            out[u].append(v)
-            inc[v].append(u)
-        self._out = {v: tuple(ns) for v, ns in out.items()}
-        self._in = {v: tuple(ns) for v, ns in inc.items()}
+        # one int object per position, shared by every neighbour tuple
+        ids = list(range(len(self.vertices)))
+        succ, pred = [[] for _ in ids], [[] for _ in ids]
+        for u, v in zip(*structure.relations[0].columns):
+            succ[u].append(ids[v])
+            pred[v].append(ids[u])
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
 
     def index(self, v):
         return self._index[v]
@@ -282,10 +287,10 @@ class Digraph:
         return v in self._index
 
     def out_neighbors(self, v):
-        return self._out[v]
+        return tuple(self.vertices[w] for w in self.succ[self._index[v]])
 
     def in_neighbors(self, v):
-        return self._in[v]
+        return tuple(self.vertices[w] for w in self.pred[self._index[v]])
 
     def num_vertices(self):
         return len(self.vertices)
@@ -303,11 +308,12 @@ class Digraph:
 
     def induced(self, vertices):
         """Subgraph on the given vertices, keeping vertex order; built
-        from the adjacency lists, so it costs their degrees, not |E|."""
-        keep = {v for v in vertices if v in self._index}
-        vs = sorted(keep, key=self._index.__getitem__)
-        es = [(u, w) for u in vs for w in self._out[u] if w in keep]
-        return Digraph(vs, es)
+        from the adjacency tuples, so it costs their degrees, not |E|."""
+        keep = {self._index[v] for v in vertices if v in self._index}
+        vs = self.vertices
+        return Digraph([vs[u] for u in sorted(keep)],
+                       [(vs[u], vs[w]) for u in sorted(keep)
+                        for w in self.succ[u] if w in keep])
 
     def weak_components(self):
         """Connected components ignoring edge direction.
@@ -315,22 +321,29 @@ class Digraph:
         Returns a list of vertex lists; components are ordered by their
         first vertex in vertex order, and so are the vertices inside.
         """
-        seen = set()
+        vs = self.vertices
+        return [list(map(vs.__getitem__, comp))
+                for comp in self._components(range(len(vs)))]
+
+    def _components(self, members):
+        """Weak components of the subgraph induced on ``members``, all
+        as ascending positions, ordered by their first position."""
+        succ, pred = self.succ, self.pred
+        unseen = bytearray(len(succ))
+        for v in members:
+            unseen[v] = 1
         comps = []
-        for start in self.vertices:
-            if start in seen:
+        for start in members:
+            if not unseen[start]:
                 continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._out[v] + self._in[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comp.sort(key=self._index.__getitem__)
+            unseen[start] = 0
+            comp = [start]
+            for v in comp:          # grows as the search reaches vertices
+                for w in succ[v] + pred[v]:
+                    if unseen[w]:
+                        unseen[w] = 0
+                        comp.append(w)
+            comp.sort()
             comps.append(comp)
         return comps
 
@@ -370,14 +383,26 @@ class LevelAssignment:
     """A level function on a digraph: every edge climbs by exactly one.
 
     Levels are normalized so each weak component has minimum level 0.
-    ``height`` is the maximum level over the whole digraph.  When the
-    assignment was computed from a digraph, ``components`` holds its weak
-    components as :meth:`Digraph.weak_components` orders them.
+    ``height`` is the maximum level over the whole digraph.
+    ``by_position`` lists the levels of ``vertices``; ``lv[v]`` and
+    ``levels`` read them by name.  Computed from a digraph, it holds its
+    weak components, in :meth:`Digraph.weak_components` order, as
+    ascending positions (``position_components``) and as vertex lists.
     """
 
-    levels: dict = field(compare=False)
+    vertices: tuple = field(compare=False)
+    by_position: list = field(compare=False)
     height: int
-    components: tuple = field(default=(), compare=False)
+    position_components: tuple = field(default=(), compare=False)
+
+    @cached_property
+    def levels(self):
+        return dict(zip(self.vertices, self.by_position))
+
+    @cached_property
+    def components(self):
+        return tuple([self.vertices[v] for v in comp]
+                     for comp in self.position_components)
 
     def __getitem__(self, v):
         return self.levels[v]

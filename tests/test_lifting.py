@@ -237,6 +237,53 @@ def test_kkvw_pair_lifts_and_verifies_on_the_order_template():
     assert verify_lifted_system(gadget, lifted, system) == (True, None)
 
 
+def siggers_system():
+    """The 4-ary Siggers term, a Taylor term: idempotent, and
+    s(a,r,e,a) = s(r,a,r,e)."""
+    from dgcsp.algebra import Identity, Term
+    return IdentitySystem(
+        {"s": 4}, [Identity(Term("s", ("a", "r", "e", "a")),
+                            Term("s", ("r", "a", "r", "e")))], ["s"])
+
+
+@pytest.mark.parametrize("template", [two_cycle, leq_template])
+def test_siggers_term_lifts_and_verifies(template):
+    system = siggers_system()
+    gadget = build_gadget(template())
+    lifted = lift_general(gadget, system,
+                          find_interpretations(template(), system))
+    assert verify_lifted_system(gadget, lifted, system) == (True, None)
+
+
+def test_the_triangle_has_no_siggers_term():
+    k3 = RelationalStructure(range(3), [("E", 2, [
+        (a, b) for a in range(3) for b in range(3) if a != b])])
+    assert find_interpretations(k3, siggers_system()) is None
+
+
+@pytest.mark.parametrize("name", sorted(ENDOMORPHISM_TEMPLATES))
+def test_lift_restricted_to_the_elements_is_the_table(name):
+    """On element vertices, the lift of a weak near-unanimity or
+    majority table found on the template is that table."""
+    template = ENDOMORPHISM_TEMPLATES[name]()
+    gadget = build_gadget(template)
+    info = gadget.vertex_info
+    elements = [v for v in gadget.digraph.vertices if info[v].kind == "elem"]
+    found = 0
+    for system in (wnu_system(3), majority_system()):
+        interp = find_interpretations(template, system)
+        if interp is None:
+            continue
+        found += 1
+        lifted = lift_general(gadget, system, interp)
+        for s, table in interp.items():
+            for c in itertools.product(elements, repeat=table.arity):
+                image = info[lifted[s](*c)]
+                assert image.kind == "elem"
+                assert image.element == table(*(info[x].element for x in c))
+    assert found
+
+
 def test_maltsev_system_is_rejected(gad):
     system = maltsev_system()
     interp = find_interpretations(two_cycle(), system)

@@ -262,3 +262,146 @@ def test_positions_agree_with_names():
             assert list(zip(*r.columns)) == positions
             assert [tuple(s.domain[i] for i in p)
                     for p in zip(*r.columns)] == list(r.tuples)
+
+
+# -- adjacency by position against the name walks ----------------------
+
+
+def _name_adjacency(g):
+    out = {v: [] for v in g.vertices}
+    inc = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        out[u].append(v)
+        inc[v].append(u)
+    return out, inc
+
+
+def _levels_by_name(g, max_height=None):
+    """The leveling as a walk over vertex names: (levels, height,
+    components), or (reason, detail) of the failure."""
+    out, inc = _name_adjacency(g)
+    levels = {}
+    components = []
+    height = 0
+    for start in g.vertices:
+        if start in levels:
+            continue
+        tentative = {start: 0}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in out[v]:
+                if w in tentative:
+                    if tentative[w] != tentative[v] + 1:
+                        return ("not balanced",
+                                f"edge ({v}, {w}) closes an unbalanced cycle")
+                else:
+                    tentative[w] = tentative[v] + 1
+                    stack.append(w)
+            for w in inc[v]:
+                if w in tentative:
+                    if tentative[w] != tentative[v] - 1:
+                        return ("not balanced",
+                                f"edge ({w}, {v}) closes an unbalanced cycle")
+                else:
+                    tentative[w] = tentative[v] - 1
+                    stack.append(w)
+        low = min(tentative.values())
+        for v, l in tentative.items():
+            levels[v] = l - low
+        height = max(height, max(tentative.values()) - low)
+        components.append(sorted(tentative, key=g.index))
+    if max_height is not None and height > max_height:
+        return ("too tall", f"height {height} exceeds bound {max_height}")
+    return levels, height, components
+
+
+def _weak_components_by_name(g):
+    out, inc = _name_adjacency(g)
+    seen = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in out[v] + inc[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comp.sort(key=g.index)
+        comps.append(comp)
+    return comps
+
+
+def _induced_by_name(g, vertices):
+    out, _ = _name_adjacency(g)
+    keep = {v for v in vertices if v in g}
+    vs = sorted(keep, key=g.index)
+    return vs, [(u, w) for u in vs for w in out[u] if w in keep]
+
+
+def _position_test_digraphs():
+    """300 seeded digraphs, with a height bound or none: balanced ones
+    (levelled by construction), unbalanced ones with loops, isolated
+    vertices, repeated edges and shuffled vertex order, the empty
+    digraph, and names like "10" and "9" whose name order is not their
+    position order."""
+    rng = random.Random(17)
+    yield Digraph([], []), None
+    for case in range(299):
+        n = rng.randint(1, 12)
+        if case % 3 == 0:
+            names = [str(i) for i in range(n)]
+        else:
+            names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        if case % 2 == 0:
+            lv = {v: rng.randint(0, 4) for v in names}
+            edges = [(u, w) for u in names for w in names
+                     if lv[w] == lv[u] + 1 and rng.random() < 0.3]
+        else:
+            edges = [(rng.choice(names), rng.choice(names))
+                     for _ in range(rng.randint(0, n + 2))]
+            edges += [(v, v) for v in names if rng.random() < 0.05]
+        edges += rng.choices(edges, k=min(len(edges), 2))
+        rng.shuffle(edges)
+        yield Digraph(names, edges), rng.choice((None, 0, 1, 2))
+
+
+def test_position_walks_match_the_name_walks():
+    """Leveling, weak components, induced subgraphs and neighbour tuples
+    equal those of walks over vertex names, failures included, word for
+    word (the CLI prints the detail)."""
+    rng = random.Random(18)
+    kinds = {"leveled": 0, "not balanced": 0, "too tall": 0}
+    for g, bound in _position_test_digraphs():
+        out, inc = _name_adjacency(g)
+        for v in g.vertices:
+            assert g.out_neighbors(v) == tuple(out[v])
+            assert g.in_neighbors(v) == tuple(inc[v])
+        assert g.weak_components() == _weak_components_by_name(g)
+        keep = [v for v in g.vertices if rng.random() < 0.6] + ["unknown"]
+        rng.shuffle(keep)
+        sub = g.induced(keep)
+        vs, es = _induced_by_name(g, keep)
+        assert sub.vertices == tuple(vs) and sub.edges == tuple(es)
+
+        got = compute_levels(g, max_height=bound)
+        want = _levels_by_name(g, max_height=bound)
+        if isinstance(got, LevelingFailure):
+            assert (got.reason, got.detail) == want
+            kinds[got.reason] += 1
+            continue
+        levels, height, components = want
+        assert got.levels == levels
+        assert [got[v] for v in g.vertices] == [levels[v]
+                                                for v in g.vertices]
+        assert got.height == height
+        assert [list(c) for c in got.components] == components
+        kinds["leveled"] += 1
+    assert min(kinds.values()) > 30, kinds
