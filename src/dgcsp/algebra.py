@@ -65,24 +65,6 @@ class OperationTable:
         return {"arity": self.arity,
                 "map": [list(args) + [value] for args, value in self.rows()]}
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            arity = int(obj["arity"])
-            rows = obj["map"]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                "table file needs 'arity' and 'map' keys") from None
-        mapping = {}
-        seen = set()
-        for row in rows:
-            if len(row) != arity + 1:
-                raise ValueError(f"table row {row} does not match arity {arity}")
-            args, value = tuple(row[:-1]), row[-1]
-            mapping[args] = value
-            seen.update(row)
-        return cls(sorted(seen), arity, mapping)
-
     def polymorphism_failure(self, structure):
         """First relation tuple combination this operation breaks, or None."""
         for r in structure.relations:
@@ -159,7 +141,8 @@ _VAR_RE = re.compile(r"^\w+$")
 
 class IdentitySystem:
     """A finite set of operation symbols, linear identities over them,
-    and symbols marked idempotent."""
+    and symbols marked idempotent.  The constructor is where every term
+    is checked against its symbol's arity."""
 
     def __init__(self, symbols, identities, idempotent=()):
         self.symbols = dict(symbols)
@@ -181,7 +164,9 @@ class IdentitySystem:
     @classmethod
     def parse(cls, text):
         """Parse the identity file format: one ``lhs = rhs`` per line,
-        ``idempotent f`` markers, ``#`` comments."""
+        ``idempotent f`` markers, ``#`` comments.  A symbol's arity is
+        that of its first application; the constructor rejects any other
+        use."""
         symbols = {}
         identities = []
         idempotent = []
@@ -194,9 +179,6 @@ class IdentitySystem:
                 args = tuple(a.strip() for a in m.group(2).split(","))
                 if not all(_VAR_RE.match(a) for a in args):
                     raise IdentityParseError(f"bad argument list in {s!r}")
-                if sym in symbols and symbols[sym] != len(args):
-                    raise IdentityParseError(
-                        f"symbol {sym!r} used with inconsistent arity")
                 symbols.setdefault(sym, len(args))
                 return Term(sym, args)
             if _VAR_RE.match(s):
@@ -286,7 +268,8 @@ def _rows_by_call(op, verts):
 
 
 # ---------------------------------------------------------------------
-# canned identity systems
+# canned identity systems: identity text, read by the same parser as
+# identity files
 
 
 def wnu_system(m, symbol="w"):
@@ -294,23 +277,20 @@ def wnu_system(m, symbol="w"):
     agree.  Needs arity at least 3."""
     if m < 3:
         raise ValueError(f"weak near-unanimity needs arity >= 3, got {m}")
-    terms = []
-    for pos in range(m):
-        args = tuple("y" if j == pos else "x" for j in range(m))
-        terms.append(Term(symbol, args))
-    idents = [Identity(terms[i], terms[i + 1]) for i in range(m - 1)]
-    return IdentitySystem({symbol: m}, idents, [symbol])
+    args = [",".join("y" if j == pos else "x" for j in range(m))
+            for pos in range(m)]
+    return IdentitySystem.parse("\n".join(
+        [f"idempotent {symbol}"]
+        + [f"{symbol}({a}) = {symbol}({b})" for a, b in zip(args, args[1:])]))
 
 
 def kkvw_system():
     """Bounded width (Kozik, Krokhin, Valeriote and Willard): idempotent
     weak near-unanimity operations of arities 3 and 4 that agree on
     one-off arguments, u(y,x,x) = v(y,x,x,x)."""
-    u, v = wnu_system(3, "u"), wnu_system(4, "v")
-    link = Identity(Term("u", ("y", "x", "x")),
-                    Term("v", ("y", "x", "x", "x")))
-    return IdentitySystem({"u": 3, "v": 4},
-                          u.identities + v.identities + (link,), ["u", "v"])
+    return IdentitySystem.parse("\n".join([
+        str(wnu_system(3, "u")), str(wnu_system(4, "v")),
+        "u(y,x,x) = v(y,x,x,x)"]))
 
 
 def cyclic_system(p):
@@ -319,50 +299,29 @@ def cyclic_system(p):
     arity at least 2."""
     if p < 2:
         raise ValueError(f"a cyclic term needs arity >= 2, got {p}")
-    xs = tuple(f"x{i}" for i in range(1, p + 1))
-    rotated = Identity(Term("c", xs), Term("c", xs[1:] + xs[:1]))
-    return IdentitySystem({"c": p}, [rotated], ["c"])
+    xs = [f"x{i}" for i in range(1, p + 1)]
+    return IdentitySystem.parse(
+        f"idempotent c\nc({','.join(xs)}) = c({','.join(xs[1:] + xs[:1])})")
 
 
 def majority_system():
-    x, y = "x", "y"
-    t = lambda *args: Term("maj", args)
-    v = lambda n: Term(None, (n,))
-    idents = [
-        Identity(t(y, x, x), v(x)),
-        Identity(t(x, y, x), v(x)),
-        Identity(t(x, x, y), v(x)),
-    ]
-    return IdentitySystem({"maj": 3}, idents, ["maj"])
+    return IdentitySystem.parse(
+        "idempotent maj\nmaj(y,x,x) = x\nmaj(x,y,x) = x\nmaj(x,x,y) = x")
 
 
 def maltsev_system():
-    t = lambda *args: Term("p", args)
-    v = lambda n: Term(None, (n,))
-    idents = [
-        Identity(t("y", "x", "x"), v("y")),
-        Identity(t("x", "x", "y"), v("y")),
-    ]
-    return IdentitySystem({"p": 3}, idents, ["p"])
+    return IdentitySystem.parse("idempotent p\np(y,x,x) = y\np(x,x,y) = y")
 
 
 def three_permutability_system():
-    t1 = lambda *args: Term("p1", args)
-    t2 = lambda *args: Term("p2", args)
-    v = lambda n: Term(None, (n,))
-    idents = [
-        Identity(t1("x", "y", "y"), v("x")),
-        Identity(t2("x", "x", "y"), v("y")),
-        Identity(t1("x", "x", "y"), t2("x", "y", "y")),
-    ]
-    return IdentitySystem({"p1": 3, "p2": 3}, idents, ["p1", "p2"])
+    return IdentitySystem.parse(
+        "idempotent p1\nidempotent p2\n"
+        "p1(x,y,y) = x\np2(x,x,y) = y\np1(x,x,y) = p2(x,y,y)")
 
 
 def commutative_idempotent_binary_system():
     """A binary symmetric idempotent operation."""
-    t = lambda *args: Term("f", args)
-    idents = [Identity(t("x", "y"), t("y", "x"))]
-    return IdentitySystem({"f": 2}, idents, ["f"])
+    return IdentitySystem.parse("idempotent f\nf(x,y) = f(y,x)")
 
 
 # ---------------------------------------------------------------------
@@ -460,8 +419,9 @@ def find_wnu(structure, arity, budget=DEFAULT_BUDGET):
 # zigzag operations
 
 
-_ZPOS = {"00": 0, "01": 1, "10": 2, "11": 3}
-_ZVERT = {v: k for k, v in _ZPOS.items()}
+# the zigzag's vertices in path order, and each one's place on the path
+_ZVERT = zigzag_digraph_template().domain
+_ZPOS = {v: i for i, v in enumerate(_ZVERT)}
 
 
 def zigzag_meet(x, y):
@@ -498,13 +458,12 @@ def zigzag_p2(x, y, z):
 
 def zigzag_operations():
     """Tables of the built-in zigzag operations, keyed by name."""
-    dom = zigzag_digraph_template().domain
     return {
-        "meet": OperationTable.from_function(dom, 2, zigzag_meet),
-        "join": OperationTable.from_function(dom, 2, zigzag_join),
-        "median": OperationTable.from_function(dom, 3, zigzag_median),
-        "p1": OperationTable.from_function(dom, 3, zigzag_p1),
-        "p2": OperationTable.from_function(dom, 3, zigzag_p2),
+        "meet": OperationTable.from_function(_ZVERT, 2, zigzag_meet),
+        "join": OperationTable.from_function(_ZVERT, 2, zigzag_join),
+        "median": OperationTable.from_function(_ZVERT, 3, zigzag_median),
+        "p1": OperationTable.from_function(_ZVERT, 3, zigzag_p1),
+        "p2": OperationTable.from_function(_ZVERT, 3, zigzag_p2),
     }
 
 

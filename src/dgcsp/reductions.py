@@ -41,22 +41,13 @@ class TemplateTrivialError(ValueError):
     instance over it exists and a definite NO cannot be materialized."""
 
 
-class FreshNames:
-    """Monotone counter for fresh names that never collides with a
-    reserved set (or with names it already handed out)."""
-
-    def __init__(self, reserved=(), prefix="x"):
-        self._taken = set(reserved)
-        self._prefix = prefix
-        self._n = 1
-
-    def next(self):
-        while True:
-            cand = f"{self._prefix}{self._n}"
-            self._n += 1
-            if cand not in self._taken:
-                self._taken.add(cand)
-                return cand
+def _fresh_names(prefix, reserved):
+    """Fresh names ``prefix1``, ``prefix2``, ... in order, skipping the
+    reserved ones; the counter only climbs, so no name comes twice."""
+    reserved = set(reserved)
+    for n in itertools.count(1):
+        if (name := f"{prefix}{n}") not in reserved:
+            yield name
 
 
 # ---------------------------------------------------------------------
@@ -138,14 +129,14 @@ def forward_translate(instance, template):
                 f"instance relation {r.name!r} does not match the template")
 
     variables = list(instance.domain)
-    fresh = FreshNames(reserved=variables, prefix="v")
+    fresh = _fresh_names("v", variables)
     vertices = list(variables)
     edges = []
     tops = []
 
     def add_path_copy(qpath, bottom, top):
         names = [bottom]
-        names.extend(fresh.next() for _ in range(qpath.last_position - 1))
+        names.extend(itertools.islice(fresh, qpath.last_position - 1))
         names.append(top)
         vertices.extend(names[1:-1])
         edges.extend(qpath.edges(names))
@@ -164,13 +155,13 @@ def forward_translate(instance, template):
                 if m == rel_idx:
                     block.extend(scope)
                 else:
-                    block.extend(fresh.next()
-                                 for _ in range(template.relation(other).arity))
+                    block.extend(itertools.islice(
+                        fresh, template.relation(other).arity))
             for v in block:
                 if v not in instance.domain:
                     vertices.append(v)   # pad variable, level 0
             constrained.update(scope)
-            top = fresh.next()
+            top = next(fresh)
             vertices.append(top)
             tops.append(top)
             for qpath, v in zip(coordinate_paths, block):
@@ -178,7 +169,7 @@ def forward_translate(instance, template):
 
     for v in variables:
         if v not in constrained:
-            top = fresh.next()
+            top = next(fresh)
             vertices.append(top)
             tops.append(top)
             add_path_copy(build_path(set(), k), v, top)
@@ -307,13 +298,13 @@ def extract_hyperedges(level_n, level_0, comps, k):
     reserved = set(level_n) | set(level_0)
     for c in comps:
         reserved.update(c.vertices)
-    fresh = FreshNames(reserved=reserved, prefix="x")
+    fresh = _fresh_names("x", reserved)
 
     standins = {}
 
     def standin(ci):
         if ci not in standins:
-            standins[ci] = fresh.next()
+            standins[ci] = next(fresh)
         return standins[ci]
 
     # pieces by top, and topless pieces by base, in piece order
@@ -338,13 +329,13 @@ def extract_hyperedges(level_n, level_0, comps, k):
                     else:
                         entry.add(standin(ci))
             if not entry:
-                entry.add(fresh.next())
+                entry.add(next(fresh))
             entries.append(frozenset(entry))
         hyperedges.append(GeneralizedHyperedge(tuple(entries), label=e))
 
     for b in level_0:
         for comp in topless_by_base.get(b, ()):
-            entries = [frozenset({b if i in comp.gamma else fresh.next()})
+            entries = [frozenset({b if i in comp.gamma else next(fresh)})
                        for i in range(1, k + 1)]
             hyperedges.append(GeneralizedHyperedge(tuple(entries)))
 

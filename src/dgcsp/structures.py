@@ -378,7 +378,7 @@ class Digraph:
                 "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelAssignment:
     """A level function on a digraph: every edge climbs by exactly one.
 
@@ -388,12 +388,13 @@ class LevelAssignment:
     ``levels`` read them by name.  Computed from a digraph, it holds its
     weak components, in :meth:`Digraph.weak_components` order, as
     ascending positions (``position_components``) and as vertex lists.
+    Two assignments are equal only when they are the same object.
     """
 
-    vertices: tuple = field(compare=False)
-    by_position: list = field(compare=False)
+    vertices: tuple
+    by_position: list
     height: int
-    position_components: tuple = field(default=(), compare=False)
+    position_components: tuple = ()
 
     @cached_property
     def levels(self):

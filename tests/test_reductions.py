@@ -61,6 +61,26 @@ def test_forward_handles_unconstrained_variable():
     assert digraph_hom_exists(fr.digraph, gad.digraph)
 
 
+def fresh_sequence(prefix, reserved):
+    """The names a fresh-name counter may hand out, in order."""
+    return (f"{prefix}{n}" for n in itertools.count(1)
+            if f"{prefix}{n}" not in reserved)
+
+
+def test_forward_fresh_names_skip_the_variables():
+    """Every name the forward translation makes up is the next one of
+    v1, v2, ... that is not an instance variable, and none repeats."""
+    t = parity_template()
+    inst = RelationalStructure(
+        ["v2", "a", "v5", "v1x"],
+        [("R", 4, [("v2", "a", "v5", "v1x"), ("a", "a", "v2", "v5")])])
+    fr = forward_translate(inst, t)
+    made = fr.digraph.vertices[len(inst.domain):]
+    assert list(made) == list(itertools.islice(
+        fresh_sequence("v", set(inst.domain)), len(made)))
+    assert "v2" not in made and "v5" not in made
+
+
 def test_forward_multi_relation_template():
     t = RelationalStructure(
         ["0", "1"],
@@ -150,6 +170,23 @@ def test_backward_shares_one_standin_per_component(extra, expect):
               if any(sum(v in e for e in h.entries) > 1
                      for v in set().union(*h.entries))]
     assert shared, "no hyperedge reuses a stand-in across coordinates"
+
+
+def test_backward_fresh_names_skip_the_digraph_vertices():
+    """Stand-ins and padding names are the first x-names that are not
+    vertices of the digraph, with no name handed out twice."""
+    g = standins_digraph()
+    rename = {v: f"x{2 * i + 1}" for i, v in enumerate(g.vertices)}
+    g = Digraph([rename[v] for v in g.vertices],
+                [(rename[a], rename[b]) for a, b in g.edges])
+    t = RelationalStructure(["0", "1"], [("R", 4, [("0", "0", "1", "0")])])
+    out = backward_reduce(g, t)
+    assert isinstance(out, Reduced)
+    made = set().union(*(set().union(*h.entries) for h in out.hyperedges))
+    made -= set(g.vertices)
+    assert made
+    assert made == set(itertools.islice(
+        fresh_sequence("x", set(g.vertices)), len(made)))
 
 
 def test_backward_random_agreement():

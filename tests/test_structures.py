@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgcsp import selftest
+from dgcsp.gadget import build_gadget
 from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure,
                               compute_levels, stage3a_from_json,
                               stage3a_to_json)
@@ -153,6 +154,18 @@ def test_compute_levels_normalizes_per_component():
     assert lv[("a")] == 0 and lv["b"] == 1
     assert lv["p"] == 0 and lv["r"] == 2
     assert lv.height == 2
+
+
+def test_level_assignments_of_different_digraphs_differ():
+    """Two level assignments of the same height are not equal unless they
+    are the same object."""
+    one = compute_levels(Digraph(["a", "b"], [("a", "b")]))
+    other = compute_levels(Digraph(["x", "y", "z"], [("y", "z")]))
+    assert one.height == other.height == 1
+    assert one != other
+    assert len({one, other}) == 2
+    assert one == one
+    assert build_gadget(two_cycle()).levels != build_gadget(leq_template()).levels
 
 
 def test_compute_levels_detects_imbalance():
