@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .structures import (Digraph, InvalidStructureError, LevelAssignment,
-                         SizeGuardError)
+from .structures import Digraph, InvalidStructureError, SizeGuardError
 
 FORWARD = 1
 BACKWARD = -1
@@ -121,13 +120,13 @@ def _internal_name(a, r, j):
 class GadgetDigraph:
     """The gadget digraph of a single-relation template.
 
-    Exposes the digraph itself, its level assignment, the instantiated
-    path per element/tuple pair, and per-vertex bookkeeping (kind,
-    element or relation tuple, owning pair, path position).  The digraph
-    lists its vertices elements first, then relation tuples, then the
-    internal vertices of each connecting path, element-major and by
-    position along the path; the lift reads its tie orders off this
-    order.
+    Exposes the digraph itself, its levels as a ``{vertex: level}``
+    dict, the instantiated path per element/tuple pair, and per-vertex
+    bookkeeping (kind, element or relation tuple, owning pair, path
+    position).  The digraph lists its vertices elements first, then
+    relation tuples, then the internal vertices of each connecting path,
+    element-major and by position along the path; the lift reads its tie
+    orders off this order.
     """
 
     def __init__(self, template):
@@ -178,8 +177,7 @@ class GadgetDigraph:
             raise InvalidStructureError(
                 "element names collide under gadget naming; rename them")
         self.digraph = Digraph(vertices, edges)
-        self.levels = LevelAssignment(self.digraph.vertices, levels,
-                                      self.height)
+        self.levels = dict(zip(vertices, levels))
 
         expect = count_formula(len(template.domain), len(rel.tuples), self.k)
         got = (self.digraph.num_vertices(), self.digraph.num_edges())

@@ -244,7 +244,7 @@ def _tie_orders(gadget):
     while walking into the tuple row only the path's relation tuple
     survives.
     """
-    levels = gadget.levels.levels
+    levels = gadget.levels
     tuple_index = {r: i for i, r in enumerate(gadget.relation.tuples)}
     path_tuple = {v: tuple_index[x.rtuple if x.kind == "tup" else x.edge[1]]
                   for v, x in gadget.vertex_info.items() if x.kind != "elem"}
@@ -271,7 +271,7 @@ def _row_evaluator(gadget, f_elem, f_zig):
     single-level entries and the isolated pairs.
     """
     g = gadget.digraph
-    levels = gadget.levels.levels
+    levels = gadget.levels
     vertex_info = gadget.vertex_info
     relation = frozenset(gadget.relation.tuples)
     by_low, low_rank, by_high, high_rank = _tie_orders(gadget)

@@ -29,7 +29,6 @@ from .solver import DEFAULT_BUDGET, digraph_hom
 from .structures import (
     Digraph,
     InvalidStructureError,
-    LevelAssignment,
     RelationalStructure,
     UnionFind,
     collapse_to_single_relation,
@@ -58,6 +57,24 @@ def _fresh_names(prefix, reserved):
 class LevelingFailure:
     reason: str                 # "not balanced" or "too tall"
     detail: str
+
+
+@dataclass(frozen=True, eq=False)
+class LevelAssignment:
+    """A level function on a digraph, by vertex position: every edge
+    climbs by exactly one.
+
+    Levels are normalized so each weak component has minimum level 0.
+    ``by_position[i]`` is the level of the digraph's i-th vertex and
+    ``height`` the maximum level.  ``position_components`` holds the
+    weak components, in :meth:`Digraph.weak_components` order, as
+    ascending positions.  Two assignments are equal only when they are
+    the same object.
+    """
+
+    by_position: list
+    height: int
+    position_components: tuple
 
 
 def compute_levels(g, max_height=None):
@@ -99,7 +116,7 @@ def compute_levels(g, max_height=None):
     if max_height is not None and height > max_height:
         return LevelingFailure(
             "too tall", f"height {height} exceeds bound {max_height}")
-    return LevelAssignment(g.vertices, level, height, tuple(components))
+    return LevelAssignment(level, height, tuple(components))
 
 
 # ---------------------------------------------------------------------
@@ -149,17 +166,17 @@ def forward_translate(instance, template):
             continue
         for scope in instance.relation(rel_name).tuples:
             # block of the collapsed constraint: the scope sits in this
-            # relation's slice, every other slice is padded fresh
+            # relation's slice, every other slice is padded with fresh
+            # level-0 vertices
             block = []
             for m, other in enumerate(rel_order):
                 if m == rel_idx:
                     block.extend(scope)
                 else:
-                    block.extend(itertools.islice(
+                    pad = list(itertools.islice(
                         fresh, template.relation(other).arity))
-            for v in block:
-                if v not in instance.domain:
-                    vertices.append(v)   # pad variable, level 0
+                    vertices.extend(pad)
+                    block.extend(pad)
             constrained.update(scope)
             top = next(fresh)
             vertices.append(top)
@@ -199,16 +216,15 @@ class InternalComponent:
     gamma: frozenset
 
 
-def internal_components(g, levels, n, k, budget):
-    """Interior pieces of the components of a leveled digraph that reach
-    height n, found by one walk over their interior positions, each with
-    the coordinates it blocks; :func:`forced_positions` runs once per
-    distinct shape (pieces of a forward digraph repeat a handful)."""
+def internal_components(g, level, full_height, n, k, budget):
+    """Interior pieces of the components that reach height n, given as
+    ascending positions (``full_height``) with the levels by position
+    (``level``), found by one walk over their interior positions, each
+    with the coordinates it blocks; :func:`forced_positions` runs once
+    per distinct shape (pieces of a forward digraph repeat a handful)."""
     succ, pred, vs = g.succ, g.pred, g.vertices
-    level = levels.by_position
-    interior = sorted(v for comp in levels.position_components
-                      if max(map(level.__getitem__, comp)) == n
-                      for v in comp if 0 < level[v] < n)
+    interior = sorted(v for comp in full_height for v in comp
+                      if 0 < level[v] < n)
     gammas = {}
     out = []
     for comp in g._components(interior):
@@ -537,7 +553,7 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     if not kept:
         return Definite(True, "every component is short and embeddable")
 
-    comps = internal_components(g, levels, n, k, budget)
+    comps = internal_components(g, level, kept, n, k, budget)
     level_n = [v for v, l in zip(vs, level) if l == n]
     level_0 = [vs[v] for v in sorted(itertools.chain(*kept)) if level[v] == 0]
     hyperedges, equalities = extract_hyperedges(level_n, level_0, comps, k)

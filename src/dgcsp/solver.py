@@ -13,10 +13,11 @@ Scopes and support tuples are the relations' position columns, zipped.
 Support is precomputed once per target relation and shared by every
 constraint on it.  For a binary relation each value has a bitmask of its
 in-neighbours and one of its out-neighbours, and a memo per direction
-maps a domain mask to the union of its values' neighbour masks, so a
-binary revision is two memo lookups and two ANDs, made inline in the
-propagation loop.  Other arities scan the relation's tuples.  A leaf is
-checked against the relation's tuple set before it is reported.
+maps a domain mask to the union of its values' neighbour masks.  Every
+revision is made in the propagation loop: a binary one is two memo
+lookups and two ANDs, one of another arity scans the relation's tuples.
+A leaf is checked against the relation's tuple set before it is
+reported.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -154,41 +155,16 @@ class HomInstance:
 
     # -- propagation ---------------------------------------------------
 
-    def _filter_constraint(self, masks, c):
-        """Revise a constraint of arity other than 2 by scanning its
-        relation's tuples; None on wipeout.
-
-        Returns the set of variable positions whose mask shrank.  Each
-        position's support is taken from the masks as they were on entry.
-        """
-        scope = c.scope
-        support = dict.fromkeys(scope, 0)
-        for t in c.support.tuples:
-            ok = True
-            for xi, vi in zip(scope, t):
-                if not (masks[xi] >> vi) & 1:
-                    ok = False
-                    break
-            if ok:
-                for xi, vi in zip(scope, t):
-                    support[xi] |= 1 << vi
-        changed = set()
-        for xi, sup in support.items():
-            new = masks[xi] & sup
-            if new != masks[xi]:
-                if new == 0:
-                    return None
-                masks[xi] = new
-                changed.add(xi)
-        return changed
-
     def _propagate(self, masks, queue=None):
         """Revise constraints to a fixpoint; False on wipeout.
 
-        A binary constraint is revised here: each side keeps the values
-        that the other side's mask, as it was on entry, supports (a
-        repeated scope ``(x, x)`` keeps the union of both projections).
-        A variable whose mask shrinks queues its other constraints.
+        Every revision is made here, and each has one shape: the values
+        a position keeps are those its constraint supports under the
+        masks as they were on entry, and a variable whose mask shrinks
+        queues its other constraints.  A binary constraint reads its
+        support from the memos (a repeated scope ``(x, x)`` keeps the
+        union of both projections); one of another arity scans its
+        relation's tuples.
         """
         constraints = self.constraints
         watch = self._watch
@@ -199,16 +175,28 @@ class HomInstance:
         while pending:
             ci = pending.pop()
             c = constraints[ci]
-            if len(c.scope) != 2:
-                changed = self._filter_constraint(masks, c)
-                if changed is None:
-                    return False
-                for xi in changed:
-                    for cj in watch[xi]:
-                        if cj != ci:
-                            pending.add(cj)
+            scope = c.scope
+            if len(scope) != 2:
+                supported = dict.fromkeys(scope, 0)
+                for t in c.support.tuples:
+                    for xi, vi in zip(scope, t):
+                        if not (masks[xi] >> vi) & 1:
+                            break
+                    else:
+                        for xi, vi in zip(scope, t):
+                            supported[xi] |= 1 << vi
+                for xi, sup in supported.items():
+                    m = masks[xi]
+                    new = m & sup
+                    if new != m:
+                        if not new:
+                            return False
+                        masks[xi] = new
+                        for cj in watch[xi]:
+                            if cj != ci:
+                                pending.add(cj)
                 continue
-            x0, x1 = c.scope
+            x0, x1 = scope
             m0 = masks[x0]
             m1 = masks[x1]
             support = c.support

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
 
@@ -227,6 +226,9 @@ class RelationalStructure:
             except (KeyError, TypeError):
                 raise InvalidStructureError(
                     "each relation needs 'name', 'arity' and 'tuples'") from None
+            if not isinstance(name, str):
+                raise InvalidStructureError(
+                    f"relation name {name!r} must be a string")
             if not isinstance(arity, int) or isinstance(arity, bool):
                 raise InvalidStructureError(
                     f"relation {name!r}: 'arity' must be an integer")
@@ -378,42 +380,11 @@ class Digraph:
                 "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True, eq=False)
-class LevelAssignment:
-    """A level function on a digraph: every edge climbs by exactly one.
-
-    Levels are normalized so each weak component has minimum level 0.
-    ``height`` is the maximum level over the whole digraph.
-    ``by_position`` lists the levels of ``vertices``; ``lv[v]`` and
-    ``levels`` read them by name.  Computed from a digraph, it holds its
-    weak components, in :meth:`Digraph.weak_components` order, as
-    ascending positions (``position_components``) and as vertex lists.
-    Two assignments are equal only when they are the same object.
-    """
-
-    vertices: tuple
-    by_position: list
-    height: int
-    position_components: tuple = ()
-
-    @cached_property
-    def levels(self):
-        return dict(zip(self.vertices, self.by_position))
-
-    @cached_property
-    def components(self):
-        return tuple([self.vertices[v] for v in comp]
-                     for comp in self.position_components)
-
-    def __getitem__(self, v):
-        return self.levels[v]
-
-
 def digraph_to_dot(g, levels=None):
     """Render a digraph in dot format, one vertex/edge per line.
 
-    With a level assignment, vertices of equal level are put on the same
-    rank so the drawing is layered bottom-up.
+    With ``levels``, a ``{vertex: level}`` dict, vertices of equal level
+    are put on the same rank so the drawing is layered bottom-up.
     """
     lines = ["digraph G {", "  rankdir=BT;"]
     for v in g.vertices:

@@ -36,6 +36,25 @@ def test_build_dot(capsys):
     assert "rank=same" in out
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("2cycle",
+     "fbc5a3f865198e9471f22f5f18f2570732a285da905c82217d472583d5eef760"),
+    ("one-element",
+     "6e413900e811db1774d04ce248100f00d2fcbea92dd6157c0e2548995fa6076d"),
+    ("parity",
+     "c6a92957ad18615011e1f3319d12deb3aa4bf6877116034e73f111dccd7152f1"),
+    ("leq",
+     "4aa28f69a2337f34772424635c4c5885e249c57d69b3ebe0cc83f36384733cd9"),
+    ("zigzag",
+     "0ef28f8ed20545a5b6755a3aff95390d9a1c2a4aec839c05bd4f66cca2bc21cd"),
+])
+def test_build_dot_matches_its_digest(capsys, name, digest):
+    """The DOT drawing of each built-in gadget, rank rows included."""
+    assert main(["build", name, "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_build_output_is_reproducible(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -205,7 +224,12 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
      "relations": [{"name": "E", "arity": 1, "tuples": [["a"]]}]},
     {"domain": ["a", "b"],
      "relations": [{"name": "E", "arity": 2, "tuples": ["ab", "ba"]}]},
-], ids=["string-arity", "string-domain", "string-tuples"])
+    {"domain": ["a"],
+     "relations": [{"name": None, "arity": 1, "tuples": [["a"]]}]},
+    {"domain": ["a"],
+     "relations": [{"name": ["E"], "arity": 1, "tuples": [["a"]]}]},
+], ids=["string-arity", "string-domain", "string-tuples", "null-name",
+        "list-name"])
 def test_mistyped_structure_is_a_usage_error(tmp_path, capsys, obj):
     path = write_json(tmp_path, "bad.json", obj)
     assert main(["build", path]) == 2

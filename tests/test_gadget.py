@@ -36,7 +36,7 @@ def test_path_levels_and_realization():
                 p = build_path(set(coords), k)
                 g = p.realize("v")
                 leveled = compute_levels(g)
-                assert p.levels() == tuple(leveled[v] for v in g.vertices)
+                assert p.levels() == tuple(leveled.by_position)
                 assert p.levels()[-1] == k + 2
 
     p = build_path(set(), 1)

@@ -14,7 +14,7 @@ from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
                               forced_positions, forward_translate,
                               materialize, stage3a_from_json,
                               stage3a_to_json, trivial_instance)
-from dgcsp.selftest import random_balanced_digraph
+from dgcsp.selftest import random_balanced_digraph, random_instance_pair
 from dgcsp.solver import (DEFAULT_BUDGET, BudgetExhausted, digraph_hom,
                           digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import (Digraph, RelationalStructure,
@@ -97,6 +97,34 @@ def test_forward_multi_relation_template():
         [("P", 1, [("x",), ("y",)]), ("E", 2, [("x", "y")])])
     fr2 = forward_translate(bad, t)
     assert not digraph_hom_exists(fr2.digraph, gad.digraph)
+
+
+def _big_forward_instance():
+    """2,000 variables under 3,000 binary and 300 unary constraints, over
+    a two-relation template, so every block holds pad variables."""
+    rng = random.Random(5)
+    vs = [f"u{i}" for i in range(2000)]
+    es = {(rng.choice(vs), rng.choice(vs)) for _ in range(3000)}
+    us = {(rng.choice(vs),) for _ in range(300)}
+    return RelationalStructure(vs, [("E", 2, sorted(es)),
+                                    ("U", 1, sorted(us))])
+
+
+def test_forward_digraphs_match_their_digest():
+    """The forward digraphs of 300 seeded random instance pairs (one or
+    two relations, so blocks with padded slices) and of one 2,000-variable
+    instance, vertex and edge order included."""
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    cases = [random_instance_pair(rng) for _ in range(300)]
+    two_cycle_and_one = RelationalStructure(
+        ["0", "1"], [("E", 2, [("0", "1"), ("1", "0")]), ("U", 1, [("1",)])])
+    cases.append((two_cycle_and_one, _big_forward_instance()))
+    for template, instance in cases:
+        g = forward_translate(instance, template).digraph
+        digest.update(json.dumps(g.to_json()).encode())
+    assert digest.hexdigest() == (
+        "783d909e2c9f5c84e0f567f9a5601f1f0b510fffae529d9aae33a4cdddd4d1ce")
 
 
 # -- backward ---------------------------------------------------------
@@ -385,7 +413,7 @@ def test_piece_gammas_match_pinning_the_piece_in_place():
         if not isinstance(out, Reduced):
             continue
         gad = build_gadget(out.collapsed.structure)
-        levels = compute_levels(g)
+        levels = dict(zip(g.vertices, compute_levels(g).by_position))
         for c in out.components:
             assert c.gamma == reference_gamma(g, levels, gad.height, c,
                                               gad.k)

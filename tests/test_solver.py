@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dgcsp import algebra, selftest
 from dgcsp.gadget import build_gadget
-from dgcsp.reductions import forward_translate
+from dgcsp.reductions import backward_reduce, forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
                           digraph_hom, digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import Digraph, RelationalStructure
@@ -340,6 +340,46 @@ def test_pinned_search(name, monkeypatch):
     got = (hashlib.sha256(json.dumps(key(inst, sols[0])).encode())
            .hexdigest() if sols else None)
     assert got == digest
+    with pytest.raises(BudgetExhausted):
+        inst.solve_all(budget=nodes - 1, limit=1)
+
+
+def _one_in_three_backward_instance():
+    """A seeded 1-in-3 instance with unary constraints, compiled forward
+    and reduced backward: a 4-ary instance over the collapsed template,
+    so every revision is a tuple scan."""
+    rng = random.Random(1)
+    val = [rng.random() < 0.34 for _ in range(60)]
+    ones = [i for i, v in enumerate(val) if v]
+    zeros = [i for i, v in enumerate(val) if not v]
+    cons = set()
+    while len(cons) < 40:
+        t = [rng.choice(ones), rng.choice(zeros), rng.choice(zeros)]
+        if len(set(t)) == 3:
+            rng.shuffle(t)
+            cons.add(tuple(f"y{i}" for i in t))
+    units = [(f"y{i}",) for i in rng.sample(ones, 3)]
+    instance = RelationalStructure(
+        [f"y{i}" for i in range(len(val))],
+        [("R", 3, sorted(cons)), ("U", 1, units)])
+    template = RelationalStructure(["0", "1"], [
+        ("R", 3, [("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")]),
+        ("U", 1, [("1",)])])
+    out = backward_reduce(forward_translate(instance, template).digraph,
+                          template)
+    return HomInstance(out.instance, out.collapsed.structure)
+
+
+def test_pinned_tuple_scan_search():
+    """The first solution (by digest) and the exact node count of a
+    search whose constraints are all 4-ary."""
+    inst = _one_in_three_backward_instance()
+    assert {len(c.scope) for c in inst.constraints} == {4}
+    nodes = 29
+    sols = inst.solve_all(budget=nodes, limit=1)
+    got = hashlib.sha256(json.dumps(_by_name(inst, sols[0])).encode())
+    assert got.hexdigest() == (
+        "44a3fec0ef95da55cc87ddab14aab6ce54ae38281eb311f5f9976dd94cc82aa0")
     with pytest.raises(BudgetExhausted):
         inst.solve_all(budget=nodes - 1, limit=1)
 

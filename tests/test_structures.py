@@ -149,11 +149,12 @@ def test_digraph_is_its_edge_structure_and_survives_json(case, data):
 def test_compute_levels_normalizes_per_component():
     g = Digraph(["a", "b", "p", "q", "r"],
                 [("a", "b"), ("p", "q"), ("q", "r")])
-    lv = compute_levels(g)
-    assert not isinstance(lv, LevelingFailure)
+    out = compute_levels(g)
+    assert not isinstance(out, LevelingFailure)
+    lv = dict(zip(g.vertices, out.by_position))
     assert lv[("a")] == 0 and lv["b"] == 1
     assert lv["p"] == 0 and lv["r"] == 2
-    assert lv.height == 2
+    assert out.height == 2
 
 
 def test_level_assignments_of_different_digraphs_differ():
@@ -187,7 +188,8 @@ def test_compute_levels_hands_back_the_weak_components():
         lv = compute_levels(g)
         if not isinstance(lv, LevelingFailure):
             leveled += 1
-            assert [list(c) for c in lv.components] == g.weak_components()
+            assert [[g.vertices[v] for v in c]
+                    for c in lv.position_components] == g.weak_components()
     assert leveled > 100
 
 
@@ -225,7 +227,7 @@ def test_induced_matches_filtering_every_edge():
 
 def test_dot_output_mentions_every_vertex():
     g = Digraph(["u", "v"], [("u", "v")])
-    lv = compute_levels(g)
+    lv = dict(zip(g.vertices, compute_levels(g).by_position))
     dot = digraph_to_dot(g, levels=lv)
     assert '"u" -> "v";' in dot
     assert "rank=same" in dot
@@ -411,10 +413,10 @@ def test_position_walks_match_the_name_walks():
             kinds[got.reason] += 1
             continue
         levels, height, components = want
-        assert got.levels == levels
-        assert [got[v] for v in g.vertices] == [levels[v]
-                                                for v in g.vertices]
+        assert dict(zip(g.vertices, got.by_position)) == levels
+        assert got.by_position == [levels[v] for v in g.vertices]
         assert got.height == height
-        assert [list(c) for c in got.components] == components
+        assert [[g.vertices[v] for v in c]
+                for c in got.position_components] == components
         kinds["leveled"] += 1
     assert min(kinds.values()) > 30, kinds
