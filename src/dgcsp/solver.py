@@ -6,8 +6,9 @@ every branching decision each constraint is filtered to the values that
 still have a supporting target tuple, to a fixpoint (arc consistency,
 AC-3 style, with a set of pending constraints).  Search order is
 deterministic: smallest domain first (ties by variable position), values
-in target order.  The branching variable is found from one list of
-domain sizes per node, built and searched by builtins.
+in target order.  The search works on one list of masks, undone through
+a trail of old masks rather than copied per node, and takes each
+branching variable from a heap of (domain size, position) entries.
 
 Scopes and support tuples are the relations' position columns, zipped.
 Support is precomputed once per target relation and shared by every
@@ -27,6 +28,7 @@ outcome, never as "no".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import count, repeat
 
 DEFAULT_BUDGET = 10_000_000
@@ -155,7 +157,7 @@ class HomInstance:
 
     # -- propagation ---------------------------------------------------
 
-    def _propagate(self, masks, queue=None):
+    def _propagate(self, masks, queue=None, trail=None):
         """Revise constraints to a fixpoint; False on wipeout.
 
         Every revision is made here, and each has one shape: the values
@@ -164,7 +166,9 @@ class HomInstance:
         queues its other constraints.  A binary constraint reads its
         support from the memos (a repeated scope ``(x, x)`` keeps the
         union of both projections); one of another arity scans its
-        relation's tuples.
+        relation's tuples.  With a ``trail`` list, each mask write first
+        appends the variable and its old mask to it, so the search can
+        undo the call, a wipeout included; the root call needs no undo.
         """
         constraints = self.constraints
         watch = self._watch
@@ -191,6 +195,8 @@ class HomInstance:
                     if new != m:
                         if not new:
                             return False
+                        if trail is not None:
+                            trail.append((xi, m))
                         masks[xi] = new
                         for cj in watch[xi]:
                             if cj != ci:
@@ -214,6 +220,8 @@ class HomInstance:
             if new0 != m0:
                 if not new0:
                     return False
+                if trail is not None:
+                    trail.append((x0, m0))
                 masks[x0] = new0
                 for cj in watch[x0]:
                     if cj != ci:
@@ -221,6 +229,8 @@ class HomInstance:
             if new1 != m1:
                 if not new1:
                     return False
+                if trail is not None:
+                    trail.append((x1, m1))
                 masks[x1] = new1
                 for cj in watch[x1]:
                     if cj != ci:
@@ -261,46 +271,66 @@ class HomInstance:
         return sols[0] if sols else None
 
     def _search(self, masks, budget, limit):
-        """Depth-first search below propagated ``masks``.
+        """Depth-first search below propagated ``masks``, in place.
 
-        The stack holds, per open decision, the masks it branches from,
-        the branching variable and the values not yet tried.
+        Each change goes on a trail of (variable, old mask) pairs.  The
+        stack holds, per open decision, the trail length it branches
+        from, the branching variable and the values not yet tried; going
+        back to it pops the trail down to that length.  The branching
+        variable is the top of a heap of (domain size, variable) entries
+        whose size is still the variable's: a successful propagation
+        pushes each size it changed, an undo each size it restores, if
+        above one, and stale entries are skipped.
         """
+        watch = self._watch
         out = []
         spent = 0
         stack = []
-        node = masks
+        trail = []
+        # m & (m - 1) is nonzero when m holds more than one value
+        heap = [(m.bit_count(), x) for x, m in enumerate(masks) if m & (m - 1)]
+        heapify(heap)
+        ok = True
         while True:
-            if node is not None:
-                # branch on the first variable with the smallest domain
-                # above one value
-                sizes = list(map(int.bit_count, node))
-                best_size = min(set(sizes) - {1}, default=0)
-                if not best_size:
-                    assignment = [m.bit_length() - 1 for m in node]
+            if ok:
+                while heap:
+                    size, best = heap[0]
+                    if masks[best].bit_count() == size:
+                        stack.append((len(trail), best, masks[best]))
+                        break
+                    heappop(heap)
+                else:
+                    assignment = [m.bit_length() - 1 for m in masks]
                     if self._verify(assignment):
                         out.append(tuple(assignment))
                     if len(out) == limit:
                         return out
-                else:
-                    best = sizes.index(best_size)
-                    stack.append((node, best, node[best]))
             if not stack:
                 return out
-            parent, best, rest = stack[-1]
+            mark, best, rest = stack[-1]
+            if len(trail) > mark:
+                for x, m in reversed(trail[mark:]):
+                    masks[x] = m
+                    if m & (m - 1):
+                        heappush(heap, (m.bit_count(), x))
+                del trail[mark:]
             if not rest:
                 stack.pop()
-                node = None
+                ok = False
                 continue
             low = rest & -rest
-            stack[-1] = (parent, best, rest ^ low)
+            stack[-1] = (mark, best, rest ^ low)
             if spent >= budget:
                 raise BudgetExhausted(budget, spent)
             spent += 1
-            node = list(parent)
-            node[best] = low
-            if not self._propagate(node, self._watch[best]):
-                node = None
+            trail.append((best, masks[best]))
+            masks[best] = low
+            ok = self._propagate(masks, watch[best], trail)
+            if ok:
+                for x, _ in trail[mark + 1:]:
+                    m = masks[x]
+                    if m & (m - 1):
+                        heappush(heap, (m.bit_count(), x))
 
 
 def find_homomorphism(source, target, pins=None, domains=None,

@@ -6,7 +6,8 @@ digraphs, each of which is a structure with one binary relation.  Both
 are immutable once built and keep their contents in a canonical order so
 that serialization and search are deterministic.
 
-Element and vertex names are strings.  Only the structure constructor
+Element and vertex names are strings; files may give them as strings or
+integers, and nothing else.  Only the structure constructor
 (a digraph is built through it) makes relation tuples canonical: it sorts
 them as domain positions and keeps both forms, names and positions.  A
 digraph's adjacency is read off those position columns, as positions.
@@ -15,6 +16,7 @@ digraph's adjacency is read off those position columns, as positions.
 from __future__ import annotations
 
 import itertools
+import json
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -30,6 +32,19 @@ class EmptyRelationError(InvalidStructureError):
 
 class SizeGuardError(ValueError):
     """Raised when a construction would exceed a configured size bound."""
+
+
+_NAME_TYPES = frozenset((str, int))
+
+
+def _check_names(names, what):
+    """Raise unless every name in the list ``names`` read from a file is
+    a string or an integer, not a boolean: the constructor's ``str``
+    would read a null or a list as a name."""
+    if not set(map(type, names)) <= _NAME_TYPES:
+        x = next(x for x in names if type(x) not in _NAME_TYPES)
+        raise InvalidStructureError(
+            f"{what} {json.dumps(x)} must be a string or an integer")
 
 
 class UnionFind:
@@ -217,6 +232,7 @@ class RelationalStructure:
                 "structure file needs 'domain' and 'relations' keys") from None
         if not isinstance(domain, list):
             raise InvalidStructureError("'domain' must be a list")
+        _check_names(domain, "element")
         if not isinstance(relations, list) or not relations:
             raise EmptyRelationError("structure has no relations")
         rels = []
@@ -242,6 +258,8 @@ class RelationalStructure:
                     raise InvalidStructureError(
                         f"relation {name!r}: tuple {t!r} must be a list of "
                         f"{arity} elements")
+            _check_names(list(itertools.chain.from_iterable(tuples)),
+                         f"relation {name!r}: element")
             rels.append((name, arity, [tuple(t) for t in tuples]))
         return cls(domain, rels)
 
@@ -373,6 +391,8 @@ class Digraph:
             if not isinstance(e, list) or len(e) != 2:
                 raise InvalidStructureError(
                     f"edge {e!r} must be a list of two vertices")
+        _check_names(vertices, "vertex")
+        _check_names(list(itertools.chain.from_iterable(edges)), "edge end")
         return cls(vertices, edges)
 
     def to_json(self):

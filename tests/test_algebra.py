@@ -356,6 +356,48 @@ def test_maltsev_holds_on_the_two_cycle_but_not_on_its_gadget():
     assert find_interpretations(gadget, maltsev_system()) is None
 
 
+def _on_elements(gadget, table):
+    """A ternary operation of the gadget, restricted to its element
+    vertices and read through ``vertex_info`` as an operation of the
+    template: a dict on triples of elements, or None if some value is
+    not an element vertex."""
+    info = gadget.vertex_info
+    elems = [v for v in gadget.digraph.vertices if info[v].kind == "elem"]
+    f = {}
+    for args in itertools.product(elems, repeat=3):
+        value = info[table(*args)]
+        if value.kind != "elem":
+            return None
+        f[tuple(info[v].element for v in args)] = value.element
+    return f
+
+
+@pytest.mark.parametrize("system, holds", [
+    (majority_system(),
+     lambda f, x, y: f[y, x, x] == f[x, y, x] == f[x, x, y] == x),
+    (wnu_system(3),
+     lambda f, x, y: f[x, x, x] == x
+     and f[y, x, x] == f[x, y, x] == f[x, x, y]),
+], ids=["majority", "wnu3"])
+def test_two_cycle_gadget_has_the_ternary_operations_of_the_two_cycle(
+        system, holds):
+    """Searched directly on D(2cycle), a deep search, the gadget has a
+    majority operation and a WNU-3; on the element vertices each is such
+    an operation of ``2cycle``, by evaluating its identities and the
+    preservation of the edges here rather than through
+    ``check_identities``."""
+    a = two_cycle()
+    gadget = build_gadget(a)
+    (table,) = find_interpretations(gadget.digraph.as_structure(),
+                                    system).values()
+    f = _on_elements(gadget, table)
+    assert f is not None
+    assert all(holds(f, x, y) for x in a.domain for y in a.domain)
+    edges = set(a.relations[0].tuples)
+    assert all((f[tuple(u for u, _ in es)], f[tuple(v for _, v in es)])
+               in edges for es in itertools.product(edges, repeat=3))
+
+
 # -- endomorphisms and cores ------------------------------------------
 
 

@@ -228,8 +228,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
      "relations": [{"name": None, "arity": 1, "tuples": [["a"]]}]},
     {"domain": ["a"],
      "relations": [{"name": ["E"], "arity": 1, "tuples": [["a"]]}]},
+    {"domain": [None, ["a"]],
+     "relations": [{"name": "E", "arity": 2, "tuples": [[None, ["a"]]]}]},
+    {"domain": ["True", "1.5"],
+     "relations": [{"name": "E", "arity": 2, "tuples": [[True, "1.5"]]}]},
+    {"domain": ["True", "1.5"],
+     "relations": [{"name": "E", "arity": 2, "tuples": [["True", 1.5]]}]},
 ], ids=["string-arity", "string-domain", "string-tuples", "null-name",
-        "list-name"])
+        "list-name", "null-and-list-elements", "boolean-entry",
+        "float-entry"])
 def test_mistyped_structure_is_a_usage_error(tmp_path, capsys, obj):
     path = write_json(tmp_path, "bad.json", obj)
     assert main(["build", path]) == 2
@@ -257,8 +264,11 @@ def test_string_tuples_are_not_read_as_pairs(tmp_path, capsys):
     {"vertices": ["a", "b"], "edges": ["ab"]},
     {"vertices": ["a", "b", "a"], "edges": []},
     {"vertices": ["a", "b"], "edges": [["a", "z"]]},
+    {"vertices": [None, 1.5], "edges": [[None, 1.5]]},
+    {"vertices": ["True", "b"], "edges": [[True, "b"]]},
 ], ids=["string-vertices", "three-vertex-edge", "string-edge",
-        "duplicate-vertex", "unknown-vertex"])
+        "duplicate-vertex", "unknown-vertex", "null-and-float-vertices",
+        "boolean-edge-end"])
 def test_mistyped_digraph_is_a_usage_error(tmp_path, capsys, obj):
     path = write_json(tmp_path, "bad.json", obj)
     assert main(["backward", "2cycle", "--input", path]) == 2

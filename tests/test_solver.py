@@ -12,7 +12,8 @@ from dgcsp.gadget import build_gadget
 from dgcsp.reductions import backward_reduce, forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
                           digraph_hom, digraph_hom_exists, find_homomorphism)
-from dgcsp.structures import Digraph, RelationalStructure
+from dgcsp.structures import (Digraph, RelationalStructure,
+                              collapse_to_single_relation)
 from dgcsp.templates import leq_template, two_cycle
 
 
@@ -327,13 +328,21 @@ PINNED_SEARCHES = {
                                        algebra.wnu_system(3)), _by_position,
         "7474814e9795bce65cd99c351293f7faf601b3dc65528059c23cea09a87e120b",
         80),
+    # deep: the search goes back over thousands of decisions
+    "2cycle-gadget-majority-indicator": (
+        lambda mp: _indicator_instance(
+            mp, build_gadget(collapse_to_single_relation(two_cycle())
+                             .structure).digraph.as_structure(),
+            algebra.majority_system()), _by_position,
+        "fc6657d5d0b96b7f336b53b7fa218f2f2b643c90b899c33e4f151acb60f57bcd",
+        6936),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
 def test_pinned_search(name, monkeypatch):
     """The first solution (by digest, or None) and the exact node count
-    of four mid-size searches, too big for the brute-force oracle."""
+    of five searches, too big for the brute-force oracle."""
     build, key, digest, nodes = PINNED_SEARCHES[name]
     inst = build(monkeypatch)
     sols = inst.solve_all(budget=nodes, limit=1)
