@@ -148,7 +148,7 @@ def cmd_backward(args):
         text = _dump(stage3a_to_json(out.hyperedges, out.equalities))
     elif args.format == "table":
         text = (f"variables {len(out.instance.domain)}\n"
-                f"constraints {len(out.instance.relations[0].tuples)}\n"
+                f"constraints {len(out.instance.relations[0].columns[0])}\n"
                 f"components {len(out.components)}\n")
     else:
         text = _dump(out.instance.to_json())

@@ -31,6 +31,7 @@ from .structures import (
     InvalidStructureError,
     RelationalStructure,
     UnionFind,
+    _check_names,
     collapse_to_single_relation,
 )
 
@@ -374,10 +375,6 @@ def stage3a_to_json(hyperedges, equalities):
             "equalities": [list(eq) for eq in equalities]}
 
 
-def _is_name(x):
-    return isinstance(x, (str, int)) and not isinstance(x, bool)
-
-
 def stage3a_from_json(obj):
     """Read the hyperedge/equality file format: ``hyperedges``, a list
     of objects with ``entries`` (a non-empty list of non-empty lists of
@@ -392,11 +389,12 @@ def stage3a_from_json(obj):
     for item in obj["hyperedges"]:
         entries = item.get("entries") if isinstance(item, dict) else None
         if not isinstance(entries, list) or not entries or not all(
-                isinstance(e, list) and e and all(map(_is_name, e))
-                for e in entries):
+                isinstance(e, list) and e for e in entries):
             raise InvalidStructureError(
                 f"hyperedge {item!r} needs 'entries', a non-empty list of "
                 "non-empty lists of names")
+        _check_names(list(itertools.chain.from_iterable(entries)),
+                     "hyperedge entry")
         label = item.get("label")
         if "label" in item and not isinstance(label, str):
             raise InvalidStructureError(
@@ -404,10 +402,10 @@ def stage3a_from_json(obj):
         hyperedges.append(GeneralizedHyperedge(
             tuple(frozenset(map(str, e)) for e in entries), label=label))
     for eq in obj["equalities"]:
-        if not (isinstance(eq, list) and len(eq) == 2
-                and all(map(_is_name, eq))):
+        if not (isinstance(eq, list) and len(eq) == 2):
             raise InvalidStructureError(
                 f"equality {eq!r} must be a list of two names")
+        _check_names(eq, "equality entry")
     return tuple(hyperedges), tuple((str(a), str(b))
                                     for a, b in obj["equalities"])
 

@@ -23,7 +23,7 @@ from .lifting import (UnliftableSystemError, in_diagonal_component,
                       verify_lifted_system)
 from .reductions import Reduced, backward_reduce, stage3a_from_json, amalgamate
 from .solver import HomInstance, digraph_hom_exists, find_homomorphism
-from .structures import (Digraph, Relation, RelationalStructure,
+from .structures import (Digraph, RelationalStructure,
                          collapse_to_single_relation)
 from .templates import (leq_template, one_element, parity_template,
                         two_cycle, zigzag_digraph_template)
@@ -63,7 +63,7 @@ def random_template(rng, max_elements=4, max_arity=4, max_tuples=8):
     universe = list(itertools.product(domain, repeat=k))
     count = rng.randint(1, min(max_tuples, len(universe)))
     tuples = rng.sample(universe, count)
-    return RelationalStructure(domain, [Relation("R", k, tuples)])
+    return RelationalStructure(domain, [("R", k, tuples)])
 
 
 def random_instance_pair(rng):
@@ -75,16 +75,16 @@ def random_instance_pair(rng):
         arity = rng.randint(1, 2)
         universe = list(itertools.product(domain, repeat=arity))
         count = rng.randint(1, min(3, len(universe)))
-        rels.append(Relation(f"R{idx}", arity, rng.sample(universe, count)))
+        rels.append((f"R{idx}", arity, rng.sample(universe, count)))
     template = RelationalStructure(domain, rels)
 
     variables = [f"u{i}" for i in range(rng.randint(1, 4))]
     scopes = {}
     for _ in range(rng.randint(1, 3)):
-        r = rng.choice(rels)
+        r = rng.choice(template.relations)
         scope = tuple(rng.choice(variables) for _ in range(r.arity))
         scopes.setdefault(r.name, set()).add(scope)
-    inst_rels = [Relation(name, template.relation(name).arity, sorted(ts))
+    inst_rels = [(name, template.relation(name).arity, sorted(ts))
                  for name, ts in sorted(scopes.items())]
     instance = RelationalStructure(variables, inst_rels)
     return template, instance
@@ -193,7 +193,7 @@ def criterion_4(seed=42):
         rng = random.Random(seed + 4)
         third = RelationalStructure(
             [0, 1, 2],
-            [Relation("R", 2, rng.sample(
+            [("R", 2, rng.sample(
                 list(itertools.product([0, 1, 2], repeat=2)), 5))])
         checked = 0
         for template in (two_cycle(), third):
@@ -273,7 +273,7 @@ def criterion_7(seed=42):
                 for r in range(1, len(universe) + 1):
                     for tuples in itertools.combinations(universe, r):
                         cases.append(RelationalStructure(
-                            domain, [Relation("R", k, list(tuples))]))
+                            domain, [("R", k, list(tuples))]))
         cases.append(two_cycle())
         cases.append(parity_template())
         for t in cases:

@@ -17,8 +17,10 @@ in-neighbours and one of its out-neighbours, and a memo per direction
 maps a domain mask to the union of its values' neighbour masks.  Every
 revision is made in the propagation loop: a binary one is two memo
 lookups and two ANDs, one of another arity scans the relation's tuples.
-A leaf is checked against the relation's tuple set before it is
-reported.
+A scope that names one variable twice gives it one value: a binary
+``(x, x)`` keeps the relation's diagonal, and a scan reads only the
+tuples that agree wherever its scope repeats.  A leaf is checked against
+the relation's tuple set before it is reported.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -49,7 +51,7 @@ class SolverUsageError(ValueError):
 
 class _Support:
     """The tuples of one target relation as value indices, and for a
-    binary relation the neighbour masks and their memos."""
+    binary relation the neighbour masks, their memos and the diagonal."""
 
     def __init__(self, tuples, arity, nvals):
         self.tuples = tuple(tuples)
@@ -62,6 +64,8 @@ class _Support:
                 out_of[a] |= 1 << b
             self.neighbours = (into, out_of)
             self.memos = ({}, {})
+            # values a with (a, a) allowed
+            self.diagonal = sum(1 << a for a, b in self.tuples if a == b)
 
     def project(self, pos, mask):
         """Values at position ``pos`` (0 or 1) supported by some value of
@@ -84,6 +88,7 @@ class _Support:
 class _Constraint:
     scope: tuple[int, ...]          # variable positions
     support: _Support               # the target relation it ranges over
+    tuples: tuple                   # the support tuples a scan reads
 
 
 class HomInstance:
@@ -126,22 +131,36 @@ class HomInstance:
                 xi = self._var_index(x)
                 self._masks[xi] &= 1 << self._val_index(v)
 
-        # each distinct variable of a scope watches its constraint
+        # each distinct variable of a scope watches its constraint; a
+        # scope that repeats a variable scans only the support tuples that
+        # agree wherever it repeats, one list per relation and pattern
         self.constraints = constraints = []
         watch = self._watch = [[] for _ in self.vars]
         for r in source.relations:
             support = _Support(zip(*target.relation(r.name).columns),
                                r.arity, nvals)
+            start = len(constraints)
+            constraints += map(_Constraint, zip(*r.columns), repeat(support),
+                               repeat(support.tuples))
             if r.arity == 2:
-                for c, x0, x1 in zip(count(len(constraints)), *r.columns):
+                for c, x0, x1 in zip(count(start), *r.columns):
                     watch[x0].append(c)
                     if x1 != x0:
                         watch[x1].append(c)
-            else:
-                for c, scope in enumerate(zip(*r.columns), len(constraints)):
-                    for xi in set(scope):
-                        watch[xi].append(c)
-            constraints += map(_Constraint, zip(*r.columns), repeat(support))
+                continue
+            agreeing = {}   # repeat pattern -> the tuples agreeing on it
+            for ci, c in enumerate(constraints[start:], start):
+                scope = c.scope
+                distinct = set(scope)
+                for xi in distinct:
+                    watch[xi].append(ci)
+                if len(distinct) < len(scope):
+                    first = tuple(map(scope.index, scope))
+                    if first not in agreeing:
+                        agreeing[first] = tuple(
+                            t for t in support.tuples
+                            if tuple(map(t.__getitem__, first)) == t)
+                    c.tuples = agreeing[first]
 
     def _var_index(self, x):
         try:
@@ -164,11 +183,11 @@ class HomInstance:
         a position keeps are those its constraint supports under the
         masks as they were on entry, and a variable whose mask shrinks
         queues its other constraints.  A binary constraint reads its
-        support from the memos (a repeated scope ``(x, x)`` keeps the
-        union of both projections); one of another arity scans its
-        relation's tuples.  With a ``trail`` list, each mask write first
-        appends the variable and its old mask to it, so the search can
-        undo the call, a wipeout included; the root call needs no undo.
+        support from the memos, or for a scope ``(x, x)`` the diagonal;
+        one of another arity scans its tuples.  With a ``trail`` list,
+        each mask write first appends the variable and its old mask to
+        it, so the search can undo the call, a wipeout included; the root
+        call needs no undo.
         """
         constraints = self.constraints
         watch = self._watch
@@ -182,7 +201,7 @@ class HomInstance:
             scope = c.scope
             if len(scope) != 2:
                 supported = dict.fromkeys(scope, 0)
-                for t in c.support.tuples:
+                for t in c.tuples:
                     for xi, vi in zip(scope, t):
                         if not (masks[xi] >> vi) & 1:
                             break
@@ -206,15 +225,16 @@ class HomInstance:
             m0 = masks[x0]
             m1 = masks[x1]
             support = c.support
-            memo_in, memo_out = support.memos
-            new0 = memo_in.get(m1)
-            if new0 is None:
-                new0 = support.project(0, m1)
-            new1 = memo_out.get(m0)
-            if new1 is None:
-                new1 = support.project(1, m0)
             if x0 == x1:
-                new0 = new1 = new0 | new1
+                new0 = new1 = support.diagonal
+            else:
+                memo_in, memo_out = support.memos
+                new0 = memo_in.get(m1)
+                if new0 is None:
+                    new0 = support.project(0, m1)
+                new1 = memo_out.get(m0)
+                if new1 is None:
+                    new1 = support.project(1, m0)
             new0 &= m0
             new1 &= m1
             if new0 != m0:

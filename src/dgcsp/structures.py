@@ -9,8 +9,9 @@ that serialization and search are deterministic.
 Element and vertex names are strings; files may give them as strings or
 integers, and nothing else.  Only the structure constructor
 (a digraph is built through it) makes relation tuples canonical: it sorts
-them as domain positions and keeps both forms, names and positions.  A
-digraph's adjacency is read off those position columns, as positions.
+them as domain positions and keeps that one form, as position columns.
+Tuples of names are read off the columns only when asked for.  A
+digraph's adjacency is read off the same columns, as positions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import json
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -75,13 +77,20 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class Relation:
-    """A named relation: a set of same-length tuples of element names;
-    in a built structure, ``columns`` holds their domain positions."""
+    """A named relation of a built structure.  Its tuples are stored once,
+    as sorted ``columns`` of positions in ``domain``, one per coordinate;
+    ``tuples``, the same tuples as element names, is built on first read.
+    Equality compares name, arity and columns."""
 
     name: str
     arity: int
-    tuples: tuple[tuple[str, ...], ...]
-    columns: tuple = field(default=(), compare=False, repr=False)
+    columns: tuple = field(hash=False, repr=False)
+    domain: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def tuples(self):
+        return tuple(zip(*(map(self.domain.__getitem__, c)
+                           for c in self.columns)))
 
 
 class RelationalStructure:
@@ -91,10 +100,10 @@ class RelationalStructure:
     in searches and the edge order of the gadget construction.
 
     This constructor is the one place where names become strings and
-    relations become canonical: it rejects duplicate elements, unknown
-    elements and tuples of the wrong length, turns tuples into domain
-    positions, removes repeats and sorts the rest, and keeps both forms:
-    ``tuples`` of names, ``columns`` of positions.  The domain may be empty.
+    relations become canonical: from ``(name, arity, tuples)`` triples it
+    rejects duplicate elements, unknown elements and tuples of the wrong
+    length, turns tuples into domain positions, removes repeats, sorts the
+    rest and keeps them as position ``columns``.  The domain may be empty.
     """
 
     def __init__(self, domain, relations):
@@ -108,11 +117,7 @@ class RelationalStructure:
 
         rels = []
         seen = set()
-        for item in relations:
-            if isinstance(item, Relation):
-                name, arity, tuples = item.name, item.arity, item.tuples
-            else:
-                name, arity, tuples = item
+        for name, arity, tuples in relations:
             name = str(name)
             if name in seen:
                 raise InvalidStructureError(f"duplicate relation name {name!r}")
@@ -156,8 +161,7 @@ class RelationalStructure:
                 ordered = sorted(canon)
                 columns = tuple(array("i", map(itemgetter(i), ordered))
                                 for i in range(arity))
-            named = zip(*(map(domain.__getitem__, c) for c in columns))
-            rels.append(Relation(name, int(arity), tuple(named), columns))
+            rels.append(Relation(name, int(arity), columns, domain))
         self.relations = tuple(rels)
         self._by_name = {r.name: r for r in self.relations}
 
@@ -194,7 +198,8 @@ class RelationalStructure:
         return hash((self.domain, self.relations))
 
     def __repr__(self):
-        sig = ", ".join(f"{r.name}/{r.arity}:{len(r.tuples)}" for r in self.relations)
+        sig = ", ".join(f"{r.name}/{r.arity}:{len(r.columns[0])}"
+                        for r in self.relations)
         return f"RelationalStructure(|dom|={len(self.domain)}, {sig})"
 
     # -- derived structures --------------------------------------------
@@ -289,7 +294,6 @@ class Digraph:
         structure = self._structure = RelationalStructure(
             vertices, [("E", 2, edges)])
         self.vertices = structure.domain
-        self.edges = structure.relations[0].tuples
         self._index = structure._index
         # one int object per position, shared by every neighbour tuple
         ids = list(range(len(self.vertices)))
@@ -299,6 +303,11 @@ class Digraph:
             pred[v].append(ids[u])
         self.succ = tuple(map(tuple, succ))
         self.pred = tuple(map(tuple, pred))
+
+    @property
+    def edges(self):
+        """The edges as vertex-name pairs, built on first read."""
+        return self._structure.relations[0].tuples
 
     def index(self, v):
         return self._index[v]
@@ -316,15 +325,15 @@ class Digraph:
         return len(self.vertices)
 
     def num_edges(self):
-        return len(self.edges)
+        return len(self._structure.relations[0].columns[0])
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self._structure == other._structure
 
     def __repr__(self):
-        return f"Digraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"Digraph({len(self.vertices)} vertices, {self.num_edges()} edges)"
 
     def induced(self, vertices):
         """Subgraph on the given vertices, keeping vertex order; built

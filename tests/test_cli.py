@@ -179,6 +179,14 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "budget of 3 nodes" in capsys.readouterr().err
 
 
+def test_loop_over_two_cycle_is_no_within_one_node(tmp_path, capsys):
+    loop = write_json(tmp_path, "loop.json", {
+        "domain": ["a"],
+        "relations": [{"name": "E", "arity": 2, "tuples": [["a", "a"]]}]})
+    assert main(["solve", "2cycle", "--input", loop, "--budget", "1"]) == 1
+    assert capsys.readouterr().out == "NO\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "backward", "poly", "core",
                                      "lift"])
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):

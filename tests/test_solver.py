@@ -104,6 +104,16 @@ def test_budget_exhaustion_raises():
     assert "budget of 3 nodes" in str(info.value)
 
 
+def test_a_repeated_variable_takes_one_value():
+    """A scope that names a variable twice allows only tuples that agree
+    there, so root propagation refutes these without a branch."""
+    loop = RelationalStructure(["a"], [("E", 2, [("a", "a")])])
+    assert HomInstance(loop, two_cycle()).solve_all(budget=0) == []
+    source = RelationalStructure(["x", "y"], [("R", 3, [("x", "x", "y")])])
+    target = RelationalStructure([0, 1], [("R", 3, [(0, 1, 0), (1, 0, 1)])])
+    assert HomInstance(source, target).solve_all(budget=0) == []
+
+
 def test_deep_search_needs_no_recursion():
     """One branching decision per free variable: 1,500 levels deep."""
     vs = [f"v{i}" for i in range(1500)]
@@ -140,16 +150,18 @@ def test_zero_limit_returns_no_solution_before_any_search():
 def _reference_search(nvars, constraints, doms, nodes):
     """All solutions in the solver's documented search order, found by a
     plain set-based search: each constraint keeps the values that occur
-    in a tuple lying inside the current domains, to a fixpoint; branch on
-    the smallest domain (ties by variable position), values ascending.
-    ``nodes[0]`` counts the values tried."""
+    in a tuple lying inside the current domains and agreeing wherever the
+    scope repeats a variable, to a fixpoint; branch on the smallest domain
+    (ties by variable position), values ascending.  ``nodes[0]`` counts
+    the values tried."""
     doms = list(doms)
     changed = True
     while changed:
         changed = False
         for scope, tuples in constraints:
             live = [t for t in tuples
-                    if all(v in doms[x] for x, v in zip(scope, t))]
+                    if all(v in doms[x] and t[scope.index(x)] == v
+                           for x, v in zip(scope, t))]
             for x in set(scope):
                 keep = doms[x] & {t[p] for t in live
                                   for p, y in enumerate(scope) if y == x}

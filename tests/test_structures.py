@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from dgcsp import selftest
 from dgcsp.gadget import build_gadget
-from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure,
-                              compute_levels, stage3a_from_json,
+from dgcsp.reductions import (GeneralizedHyperedge, LevelingFailure, Reduced,
+                              backward_reduce, compute_levels,
+                              forward_translate, stage3a_from_json,
                               stage3a_to_json)
 from dgcsp.solver import digraph_hom
 from dgcsp.structures import (Digraph, EmptyRelationError,
-                              InvalidStructureError, Relation,
+                              InvalidStructureError,
                               RelationalStructure,
                               collapse_to_single_relation, digraph_to_dot)
 from dgcsp.templates import leq_template, two_cycle
@@ -247,7 +248,7 @@ def _structures_and_inputs():
         rng.shuffle(given)
         domain = list(range(max(map(max, given)) + rng.randint(1, 3)))
         rng.shuffle(domain)
-        yield (RelationalStructure(domain, [Relation("R", r.arity, given)]),
+        yield (RelationalStructure(domain, [("R", r.arity, given)]),
                {"R": given})
     for _ in range(50):
         names = [f"v{i}" for i in range(rng.randint(0, 9))]
@@ -258,7 +259,7 @@ def _structures_and_inputs():
         yield g.as_structure(), {"E": edges}
     quad = [(3, 1, 2, 0), (0, 0, 0, 0), (3, 1, 2, 0), (1, 3, 0, 2)]
     yield RelationalStructure(
-        [3, 1, 0, 2], [Relation("Q", 4, quad), Relation("P", 1, [(2,)]),
+        [3, 1, 0, 2], [("Q", 4, quad), ("P", 1, [(2,)]),
                        ("Z", 3, [])]), {"Q": quad, "P": [(2,)], "Z": []}
 
 
@@ -277,6 +278,47 @@ def test_positions_agree_with_names():
             assert list(zip(*r.columns)) == positions
             assert [tuple(s.domain[i] for i in p)
                     for p in zip(*r.columns)] == list(r.tuples)
+
+
+def test_structures_compare_by_domain_order_and_tuple_set():
+    """Rebuilt from its tuples reversed and with repeats, a structure is
+    equal and hashes equal; one tuple fewer, or the same positions over
+    renamed elements, give a structure that is not equal."""
+    for s, given in _structures_and_inputs():
+        again = RelationalStructure(
+            s.domain, [(r.name, r.arity, given[r.name][::-1] + given[r.name])
+                       for r in s.relations])
+        assert again == s and hash(again) == hash(s)
+        fewer = RelationalStructure(
+            s.domain, [(r.name, r.arity, r.tuples[1:]) for r in s.relations])
+        assert (fewer == s) == all(not r.tuples for r in s.relations)
+        renamed = RelationalStructure(
+            [f"{x}'" for x in s.domain],
+            [(r.name, r.arity, [tuple(f"{x}'" for x in t) for t in r.tuples])
+             for r in s.relations])
+        assert [r.columns for r in renamed.relations] == \
+            [r.columns for r in s.relations]
+        assert (renamed == s) == (not s.domain)
+
+
+def test_names_are_read_off_positions_only_when_asked():
+    """The forward and backward reductions of a forward digraph build no
+    edge name tuples; reading ``edges`` afterwards gives the edges in
+    position order."""
+    instance = RelationalStructure(
+        [f"c{i}" for i in range(5)],
+        [("E", 2, [(f"c{i}", f"c{(i + 1) % 5}") for i in range(5)])])
+    forward = forward_translate(instance, two_cycle()).digraph
+    assert "tuples" not in vars(forward.as_structure().relations[0])
+    obj = forward.to_json()
+    g = Digraph.from_json(obj)
+    assert isinstance(backward_reduce(g, two_cycle()), Reduced)
+    assert "tuples" not in vars(g.as_structure().relations[0])
+    index = {v: i for i, v in enumerate(obj["vertices"])}
+    assert g.edges == tuple(sorted(
+        {tuple(e) for e in obj["edges"]},
+        key=lambda e: (index[e[0]], index[e[1]])))
+    assert g.as_structure().relations[0].tuples is g.edges
 
 
 # -- adjacency by position against the name walks ----------------------
