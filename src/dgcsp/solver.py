@@ -11,16 +11,16 @@ a trail of old masks rather than copied per node, and takes each
 branching variable from a heap of (domain size, position) entries.
 
 Scopes and support tuples are the relations' position columns, zipped.
-Support is precomputed once per target relation and shared by every
-constraint on it.  For a binary relation each value has a bitmask of its
-in-neighbours and one of its out-neighbours, and a memo per direction
-maps a domain mask to the union of its values' neighbour masks.  Every
+Every scope holds distinct variables: one that names a variable twice is
+rewritten, as it is built, over its distinct variables against the
+relation's tuples that agree on the repeats, projected onto the first
+occurrences.  Each support is precomputed once and shared.  A binary
+support has per-value in- and out-neighbour masks and a memo per
+direction from a domain mask to the union of its values' masks.  Every
 revision is made in the propagation loop: a binary one is two memo
-lookups and two ANDs, one of another arity scans the relation's tuples.
-A scope that names one variable twice gives it one value: a binary
-``(x, x)`` keeps the relation's diagonal, and a scan reads only the
-tuples that agree wherever its scope repeats.  A leaf is checked against
-the relation's tuple set before it is reported.
+lookups and two ANDs, one of another arity scans the support's tuples.
+A leaf is checked against the source tuples' relations before it is
+reported.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count, repeat
+from operator import eq
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -50,12 +51,12 @@ class SolverUsageError(ValueError):
 
 
 class _Support:
-    """The tuples of one target relation as value indices, and for a
-    binary relation the neighbour masks, their memos and the diagonal."""
+    """The tuples a constraint ranges over as value indices: a target
+    relation's, or those derived from it for a repeat pattern.  A binary
+    support also has the neighbour masks and their memos."""
 
     def __init__(self, tuples, arity, nvals):
         self.tuples = tuple(tuples)
-        self.tuple_set = frozenset(self.tuples)
         if arity == 2:
             into = [0] * nvals      # into[b]: values a with (a, b) allowed
             out_of = [0] * nvals    # out_of[a]: values b with (a, b) allowed
@@ -64,8 +65,6 @@ class _Support:
                 out_of[a] |= 1 << b
             self.neighbours = (into, out_of)
             self.memos = ({}, {})
-            # values a with (a, a) allowed
-            self.diagonal = sum(1 << a for a, b in self.tuples if a == b)
 
     def project(self, pos, mask):
         """Values at position ``pos`` (0 or 1) supported by some value of
@@ -86,9 +85,8 @@ class _Support:
 
 @dataclass(slots=True)
 class _Constraint:
-    scope: tuple[int, ...]          # variable positions
-    support: _Support               # the target relation it ranges over
-    tuples: tuple                   # the support tuples a scan reads
+    scope: tuple[int, ...]          # distinct variable positions
+    support: _Support               # the tuples it ranges over
 
 
 class HomInstance:
@@ -131,36 +129,38 @@ class HomInstance:
                 xi = self._var_index(x)
                 self._masks[xi] &= 1 << self._val_index(v)
 
-        # each distinct variable of a scope watches its constraint; a
-        # scope that repeats a variable scans only the support tuples that
-        # agree wherever it repeats, one list per relation and pattern
+        # each variable of a scope watches its constraint; a leaf is
+        # checked against each relation's source columns and tuple set
         self.constraints = constraints = []
+        self._checks = []
         watch = self._watch = [[] for _ in self.vars]
         for r in source.relations:
             support = _Support(zip(*target.relation(r.name).columns),
                                r.arity, nvals)
+            self._checks.append((r.columns, frozenset(support.tuples)))
             start = len(constraints)
-            constraints += map(_Constraint, zip(*r.columns), repeat(support),
-                               repeat(support.tuples))
-            if r.arity == 2:
+            if r.arity == 2 and not any(map(eq, *r.columns)):
+                constraints += map(_Constraint, zip(*r.columns),
+                                   repeat(support))
                 for c, x0, x1 in zip(count(start), *r.columns):
                     watch[x0].append(c)
-                    if x1 != x0:
-                        watch[x1].append(c)
+                    watch[x1].append(c)
                 continue
-            agreeing = {}   # repeat pattern -> the tuples agreeing on it
-            for ci, c in enumerate(constraints[start:], start):
-                scope = c.scope
-                distinct = set(scope)
-                for xi in distinct:
+            # repeat pattern (each position's first occurrence) -> support
+            derived = {tuple(range(r.arity)): support}
+            for ci, scope in enumerate(zip(*r.columns), start):
+                first = tuple(map(scope.index, scope))
+                if first not in derived:
+                    keep = sorted(set(first))
+                    derived[first] = _Support(
+                        (tuple(map(t.__getitem__, keep))
+                         for t in support.tuples
+                         if tuple(map(t.__getitem__, first)) == t),
+                        len(keep), nvals)
+                scope = tuple(dict.fromkeys(scope))
+                constraints.append(_Constraint(scope, derived[first]))
+                for xi in scope:
                     watch[xi].append(ci)
-                if len(distinct) < len(scope):
-                    first = tuple(map(scope.index, scope))
-                    if first not in agreeing:
-                        agreeing[first] = tuple(
-                            t for t in support.tuples
-                            if tuple(map(t.__getitem__, first)) == t)
-                    c.tuples = agreeing[first]
 
     def _var_index(self, x):
         try:
@@ -180,14 +180,14 @@ class HomInstance:
         """Revise constraints to a fixpoint; False on wipeout.
 
         Every revision is made here, and each has one shape: the values
-        a position keeps are those its constraint supports under the
+        a variable keeps are those its constraint supports under the
         masks as they were on entry, and a variable whose mask shrinks
-        queues its other constraints.  A binary constraint reads its
-        support from the memos, or for a scope ``(x, x)`` the diagonal;
-        one of another arity scans its tuples.  With a ``trail`` list,
-        each mask write first appends the variable and its old mask to
-        it, so the search can undo the call, a wipeout included; the root
-        call needs no undo.
+        queues its other constraints.  Scope variables are distinct, so a
+        revision writes each at most once.  A binary constraint reads its
+        support from the memos; one of another arity scans its tuples.
+        With a ``trail`` list, each mask write first appends the variable
+        and its old mask to it, so the search can undo the call, a
+        wipeout included; the root call needs no undo.
         """
         constraints = self.constraints
         watch = self._watch
@@ -201,7 +201,7 @@ class HomInstance:
             scope = c.scope
             if len(scope) != 2:
                 supported = dict.fromkeys(scope, 0)
-                for t in c.tuples:
+                for t in c.support.tuples:
                     for xi, vi in zip(scope, t):
                         if not (masks[xi] >> vi) & 1:
                             break
@@ -225,16 +225,13 @@ class HomInstance:
             m0 = masks[x0]
             m1 = masks[x1]
             support = c.support
-            if x0 == x1:
-                new0 = new1 = support.diagonal
-            else:
-                memo_in, memo_out = support.memos
-                new0 = memo_in.get(m1)
-                if new0 is None:
-                    new0 = support.project(0, m1)
-                new1 = memo_out.get(m0)
-                if new1 is None:
-                    new1 = support.project(1, m0)
+            memo_in, memo_out = support.memos
+            new0 = memo_in.get(m1)
+            if new0 is None:
+                new0 = support.project(0, m1)
+            new1 = memo_out.get(m0)
+            if new1 is None:
+                new1 = support.project(1, m0)
             new0 &= m0
             new1 &= m1
             if new0 != m0:
@@ -260,10 +257,11 @@ class HomInstance:
     # -- search --------------------------------------------------------
 
     def _verify(self, assignment):
-        for c in self.constraints:
-            t = tuple(assignment[xi] for xi in c.scope)
-            if t not in c.support.tuple_set:
-                return False
+        value = assignment.__getitem__
+        for columns, allowed in self._checks:
+            for scope in zip(*columns):
+                if tuple(map(value, scope)) not in allowed:
+                    return False
         return True
 
     def solve_all(self, budget=DEFAULT_BUDGET, limit=None):

@@ -461,7 +461,7 @@ def collapse_to_single_relation(structure):
     if not structure.relations:
         raise EmptyRelationError("template has no relations")
     for r in structure.relations:
-        if not r.tuples:
+        if not len(r.columns[0]):
             raise EmptyRelationError(f"relation {r.name!r} has no tuples")
     if structure.is_single_relation:
         return CollapsedTemplate(structure)

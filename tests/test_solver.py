@@ -251,6 +251,38 @@ def test_solver_matches_brute_force(case):
     assert inst.solve() == (sols[0] if sols else None)
 
 
+def _root_trail(inst):
+    """The trail of a root propagation from the instance's masks, after
+    checking that it holds one entry per shrink: per variable, the old
+    masks it records and then its final mask strictly shrink."""
+    masks = list(inst._masks)
+    trail = []
+    inst._propagate(masks, None, trail)
+    for x in {x for x, _ in trail}:
+        seen = [m for y, m in trail if y == x] + [masks[x]]
+        for old, new in zip(seen, seen[1:]):
+            assert new != old and new | old == old, (x, seen)
+    return trail
+
+
+def test_a_loop_is_revised_once():
+    """A loop ``(a, a)`` ranges over one variable, so root propagation
+    shrinks each variable once and records one trail entry for it."""
+    source = RelationalStructure(["a", "b"],
+                                 [("E", 2, [("a", "a"), ("a", "b")])])
+    target = RelationalStructure(
+        [0, 1, 2], [("E", 2, [(0, 0), (1, 1), (0, 1), (2, 0)])])
+    assert _root_trail(HomInstance(source, target)) == [(0, 7), (1, 7)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tiny_instances())
+def test_propagation_records_one_trail_entry_per_shrink(case):
+    """Repeated scopes included, no revision writes a variable twice."""
+    source, target, pins, domains = case
+    _root_trail(HomInstance(source, target, pins=pins, domains=domains))
+
+
 # -- pinned mid-size searches --------------------------------------------
 
 def _k3():
@@ -405,6 +437,44 @@ def test_pinned_tuple_scan_search():
         inst.solve_all(budget=nodes - 1, limit=1)
 
 
+def _repeated_scope_instance():
+    """A seeded instance whose 200 ternary scopes all repeat a variable,
+    as ``(x, y, x)`` or ``(x, x, y)``, over a relation on three values in
+    which both patterns read "the two variables differ": a planted
+    3-colouring of 90 variables, solved by search."""
+    rng = random.Random(2)
+    relation = ([(a, b, a) for a in range(3) for b in range(3) if a != b]
+                + [(a, a, b) for a in range(3) for b in range(3) if a != b]
+                + [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    colour = [rng.randrange(3) for _ in range(90)]
+    cons = set()
+    while len(cons) < 200:
+        x, y = rng.sample(range(90), 2)
+        t = (x, y, x) if rng.random() < 0.5 else (x, x, y)
+        if tuple(colour[i] for i in t) in relation:
+            cons.add(tuple(f"y{i}" for i in t))
+    instance = RelationalStructure([f"y{i}" for i in range(90)],
+                                   [("R", 3, sorted(cons))])
+    template = RelationalStructure(range(3), [("R", 3, relation)])
+    return HomInstance(instance, template)
+
+
+def test_pinned_repeated_scope_search():
+    """The first solution (by digest) and the exact node count of a
+    search whose scopes all name a variable twice, so that every
+    constraint is binary."""
+    inst = _repeated_scope_instance()
+    assert {len(set(t)) for t in inst.source.relations[0].tuples} == {2}
+    assert {len(c.scope) for c in inst.constraints} == {2}
+    nodes = 470
+    sols = inst.solve_all(budget=nodes, limit=1)
+    got = hashlib.sha256(json.dumps(_by_name(inst, sols[0])).encode())
+    assert got.hexdigest() == (
+        "b73ef93bd27499105564e3d9461be1ebb36a168d86d30cee1b081878bd42280e")
+    with pytest.raises(BudgetExhausted):
+        inst.solve_all(budget=nodes - 1, limit=1)
+
+
 def _directed_cycle(n):
     d = [str(i) for i in range(n)]
     return RelationalStructure(
@@ -453,30 +523,48 @@ def _instances_to_read():
         inst = _forward_instance(_two_tree(12, 2), template)
         yield inst.source, inst.target
     source = RelationalStructure(
-        range(6), [("R", 3, [(5, 0, 1), (2, 2, 0), (1, 4, 3), (5, 0, 1)]),
+        range(6), [("R", 3, [(5, 0, 1), (2, 2, 0), (1, 4, 3), (5, 0, 1),
+                             (1, 0, 1), (4, 2, 4)]),
                    ("E", 2, [(3, 3), (4, 1), (0, 5)])])
     target = RelationalStructure(
         "ab", [("E", 2, [("b", "a"), ("a", "a")]),
-               ("R", 3, [("b", "b", "a"), ("a", "b", "b")])])
+               ("R", 3, [("b", "b", "a"), ("a", "b", "b"),
+                         ("b", "a", "b")])])
     yield source, target
 
 
 def test_scopes_and_supports_are_the_tuples_positions():
     """Constraint scopes, support tuples and watch lists equal what the
-    rule ``tuple(structure.index(x) for x in t)`` gives, in order."""
+    rule ``tuple(structure.index(x) for x in t)`` gives, in order.  A
+    scope that repeats a variable ranges over its distinct variables, in
+    first-occurrence order, against the target tuples that agree on the
+    repeats, projected onto the first occurrences; constraints of one
+    relation with the same repeat pattern share that support, and a
+    binary one has neighbour masks."""
     for source, target in _instances_to_read():
         inst = HomInstance(source, target)
-        scopes, supports = [], []
+        scopes, supports, patterns = [], [], []
         for r in source.relations:
             allowed = tuple(tuple(target.index(x) for x in t)
                             for t in target.relation(r.name).tuples)
             for t in r.tuples:
-                scopes.append(tuple(source.index(x) for x in t))
-                supports.append(allowed)
+                scope = tuple(source.index(x) for x in t)
+                first = tuple(scope.index(x) for x in scope)
+                keep = [p for p, f in enumerate(first) if p == f]
+                scopes.append(tuple(scope[p] for p in keep))
+                supports.append(tuple(
+                    tuple(a[p] for p in keep) for a in allowed
+                    if all(a[p] == a[f] for p, f in enumerate(first))))
+                patterns.append((r.name, first))
         assert [c.scope for c in inst.constraints] == scopes
+        assert all(len(set(c.scope)) == len(c.scope) for c in inst.constraints)
         assert [c.support.tuples for c in inst.constraints] == supports
+        shared = {}
+        for c, pattern in zip(inst.constraints, patterns):
+            assert shared.setdefault(pattern, c.support) is c.support
+            assert hasattr(c.support, "memos") == (len(c.scope) == 2)
         watch = [[] for _ in source.domain]
         for ci, scope in enumerate(scopes):
-            for xi in set(scope):
+            for xi in scope:
                 watch[xi].append(ci)
         assert inst._watch == watch

@@ -302,9 +302,12 @@ def test_structures_compare_by_domain_order_and_tuple_set():
 
 
 def test_names_are_read_off_positions_only_when_asked():
-    """The forward and backward reductions of a forward digraph build no
-    edge name tuples; reading ``edges`` afterwards gives the edges in
-    position order."""
+    """Collapsing a single-relation template and the forward and backward
+    reductions of a forward digraph build no name tuples; reading
+    ``edges`` afterwards gives the edges in position order."""
+    template = two_cycle()
+    collapse_to_single_relation(template)
+    assert "tuples" not in vars(template.relations[0])
     instance = RelationalStructure(
         [f"c{i}" for i in range(5)],
         [("E", 2, [(f"c{i}", f"c{(i + 1) % 5}") for i in range(5)])])
