@@ -61,10 +61,6 @@ class OperationTable:
         for args in itertools.product(self.domain, repeat=self.arity):
             yield args, self._table[args]
 
-    def to_json(self):
-        return {"arity": self.arity,
-                "map": [list(args) + [value] for args, value in self.rows()]}
-
     def polymorphism_failure(self, structure):
         """First relation tuple combination this operation breaks, or None."""
         for r in structure.relations:
@@ -74,6 +70,19 @@ class OperationTable:
                 if image not in related:
                     return (r.name, combo, image)
         return None
+
+
+def operation_to_json(op):
+    """The operation file format: ``arity`` and a ``map`` of
+    ``[*args, value]`` rows over ``op.domain`` in product order, read
+    through ``op.row`` where the operation has it."""
+    dom = op.domain
+    row = getattr(op, "row", None) or (
+        lambda prefix: [op(*prefix, y) for y in dom])
+    return {"arity": op.arity,
+            "map": [[*prefix, y, value] for prefix in
+                    itertools.product(dom, repeat=op.arity - 1)
+                    for y, value in zip(dom, row(prefix))]}
 
 
 # ---------------------------------------------------------------------

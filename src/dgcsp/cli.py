@@ -14,13 +14,12 @@ broken invariant of the program, never a negative answer).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
 from . import templates
 from .algebra import (IdentitySystem, core_of, find_interpretations,
-                      wnu_system)
+                      operation_to_json, wnu_system)
 from .gadget import build_gadget
 from .lifting import (LiftInvariantError, UnliftableSystemError,
                       lift_general, verify_lifted_system)
@@ -89,12 +88,7 @@ def _emit(text, output):
 
 
 def cmd_build(args):
-    template = _load_structure(args.template)
-    col = collapse_to_single_relation(template)
-    if col.arity > args.max_arity:
-        raise UsageError(
-            f"collapsed arity {col.arity} exceeds --max-arity {args.max_arity}")
-    gad = build_gadget(col.structure)
+    gad = build_gadget(_load_structure(args.template))
     if args.format == "dot":
         out = digraph_to_dot(gad.digraph, levels=gad.levels)
     elif args.format == "structure":
@@ -187,7 +181,8 @@ def cmd_poly(args):
     if interp is None:
         print("none")
         return 1
-    _emit(_dump({s: t.to_json() for s, t in interp.items()}), args.output)
+    _emit(_dump({s: operation_to_json(t) for s, t in interp.items()}),
+          args.output)
     return 0
 
 
@@ -206,9 +201,8 @@ def cmd_core(args):
 def cmd_lift(args):
     template = _load_structure(args.template)
     system = _system_from_args(args)
-    col = collapse_to_single_relation(template)
-    gad = build_gadget(col.structure)
-    interp = find_interpretations(col.structure, system, budget=args.budget)
+    gad = build_gadget(template)
+    interp = find_interpretations(gad.template, system, budget=args.budget)
     if interp is None:
         print("none")
         return 1
@@ -226,18 +220,13 @@ def cmd_lift(args):
             raise LiftInvariantError(f"verification failed: {why}")
         print("verified")
     if args.output:
-        rows = {}
-        verts = gad.digraph.vertices
         for s, op in sorted(lifted.items()):
             if n ** op.arity > 200000:
                 raise UsageError(
                     f"materializing {s} needs {n ** op.arity} rows; "
                     "drop --output for a summary only")
-            rows[s] = {"arity": op.arity,
-                       "map": [[*prefix, y, value] for prefix in
-                               itertools.product(verts, repeat=op.arity - 1)
-                               for y, value in zip(verts, op.row(prefix))]}
-        _emit(_dump(rows), args.output)
+        _emit(_dump({s: operation_to_json(op) for s, op in lifted.items()}),
+              args.output)
     return 0
 
 
@@ -270,8 +259,6 @@ def _parser():
     sp.add_argument("template", help="template file or built-in name")
     sp.add_argument("--format", choices=("digraph", "dot", "structure",
                                          "table"), default="digraph")
-    sp.add_argument("--max-arity", type=int, default=8,
-                    help="refuse templates collapsing past this arity")
     common(sp, budget=False)
     sp.set_defaults(fn=cmd_build)
 

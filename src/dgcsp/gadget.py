@@ -1,20 +1,22 @@
 """Connecting paths and the path-replacement gadget.
 
-A single-relation template A (domain elements, one k-ary relation R) is
-turned into a digraph D(A): one vertex per element at level 0, one per
-relation tuple at level k+2, and for every element/tuple pair a
-connecting path between them whose shape records the coordinate set
-``{i : r_i = a}``.  Section i of a connecting path is a single climbing
-edge when coordinate i is in the recorded set and a zigzag otherwise, so
-paths embed into each other exactly when their recorded sets are nested.
+Any template A, collapsed here to one k-ary relation R, is turned into a
+digraph D(A): one vertex per element at level 0, one per tuple of R at
+level k+2, and for every element/tuple pair a connecting path between
+them whose shape records the coordinate set ``{i : r_i = a}``.  Section
+i of a connecting path is a single climbing edge when coordinate i is in
+the recorded set and a zigzag otherwise, so paths embed into each other
+exactly when their recorded sets are nested.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .structures import Digraph, InvalidStructureError, SizeGuardError
+from .structures import (Digraph, InvalidStructureError, SizeGuardError,
+                         collapse_to_single_relation)
 
 FORWARD = 1
 BACKWARD = -1
@@ -29,6 +31,11 @@ def count_formula(num_elements, num_tuples, arity):
         + num_elements
     e = (3 * k + 2) * num_tuples * num_elements - 2 * k * num_tuples
     return v, e
+
+
+def path_height(k):
+    """Top level of a connecting path with k sections, and of D(A)."""
+    return k + 2
 
 
 @dataclass(frozen=True)
@@ -118,33 +125,31 @@ def _internal_name(a, r, j):
 
 
 class GadgetDigraph:
-    """The gadget digraph of a single-relation template.
+    """The gadget digraph D(A) of any template A.
 
-    Exposes the digraph itself, its levels as a ``{vertex: level}``
-    dict, the instantiated path per element/tuple pair, and per-vertex
-    bookkeeping (kind, element or relation tuple, owning pair, path
-    position).  The digraph lists its vertices elements first, then
-    relation tuples, then the internal vertices of each connecting path,
-    element-major and by position along the path; the lift reads its tie
-    orders off this order.
+    ``template`` is A collapsed to one relation, ``relation`` that
+    relation and ``k`` its arity; :data:`MAX_PAIRS` is checked before
+    the collapse.  Exposes the digraph itself, its levels as a
+    ``{vertex: level}`` dict, the instantiated path per element/tuple
+    pair, and per-vertex bookkeeping (kind, element or relation tuple,
+    owning pair, path position).  The digraph lists its vertices
+    elements first, then relation tuples, then the internal vertices of
+    each connecting path, element-major and by position along the path;
+    the lift reads its tie orders off this order.
     """
 
     def __init__(self, template):
-        if not template.is_single_relation:
-            raise InvalidStructureError(
-                "gadget construction needs a single-relation template; "
-                "collapse first")
-        rel = template.relations[0]
-        if not rel.tuples:
-            raise InvalidStructureError("template relation has no tuples")
-        self.template = template
-        self.relation = rel
-        self.k = rel.arity
-
-        pairs = len(template.domain) * len(rel.tuples)
+        # the collapsed relation has the product of the tuple counts
+        pairs = len(template.domain) * math.prod(
+            len(r.columns[0]) for r in template.relations)
         if pairs > MAX_PAIRS:
             raise SizeGuardError(
                 f"gadget would use {pairs} connecting paths (bound {MAX_PAIRS})")
+        template = collapse_to_single_relation(template).structure
+        rel = template.relations[0]
+        self.template = template
+        self.relation = rel
+        self.k = rel.arity
 
         vertices = [elem_name(a) for a in template.domain]
         vertices.extend(tup_name(r) for r in rel.tuples)
@@ -187,7 +192,7 @@ class GadgetDigraph:
 
     @property
     def height(self):
-        return self.k + 2
+        return path_height(self.k)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .gadget import build_gadget, build_path
+from .gadget import build_gadget, build_path, path_height
 from .solver import DEFAULT_BUDGET, digraph_hom
 from .structures import (
     Digraph,
@@ -447,10 +447,10 @@ def amalgamate(hyperedges, equalities, relation_name="R", arity=None):
     entry_names = set()
     for h in hyperedges:
         for entry in h.entries:
-            members = sorted(entry)
-            entry_names.update(members)
-            for name in members[1:]:
-                uf.union(members[0], name)
+            entry_names.update(entry)
+            first, *rest = entry
+            for name in rest:
+                uf.union(first, name)
     for a, b in equalities:
         uf.union(a, b)
 
@@ -524,12 +524,12 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     the template, or decide it outright.
 
     Returns :class:`Definite` when stage 1 or 2 settles the question and
-    :class:`Reduced` otherwise.
+    :class:`Reduced` otherwise.  The gadget D(A) is built only when a
+    short component has to be solved against it, at most once per call.
     """
     col = collapse_to_single_relation(template)
-    gad = build_gadget(col.structure)
-    n = gad.height
-    k = gad.k
+    k = col.arity
+    n = path_height(k)
 
     levels = compute_levels(g, max_height=n)
     if isinstance(levels, LevelingFailure):
@@ -538,8 +538,11 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     vs = g.vertices
     level = levels.by_position
     kept = []
+    gad = None
     for comp in levels.position_components:
         if max(map(level.__getitem__, comp)) < n:
+            if gad is None:
+                gad = build_gadget(col.structure)
             sub = g.induced(map(vs.__getitem__, comp))
             if digraph_hom(sub, gad.digraph, budget=budget) is None:
                 return Definite(

@@ -23,8 +23,7 @@ from .lifting import (UnliftableSystemError, in_diagonal_component,
                       verify_lifted_system)
 from .reductions import Reduced, backward_reduce, stage3a_from_json, amalgamate
 from .solver import HomInstance, digraph_hom_exists, find_homomorphism
-from .structures import (Digraph, RelationalStructure,
-                         collapse_to_single_relation)
+from .structures import Digraph, RelationalStructure
 from .templates import (leq_template, one_element, parity_template,
                         two_cycle, zigzag_digraph_template)
 
@@ -177,7 +176,7 @@ def criterion_3(seed=42):
             template, instance = random_instance_pair(rng)
             direct = find_homomorphism(instance, template) is not None
             fr = forward_translate(instance, template)
-            gad = build_gadget(fr.collapsed.structure)
+            gad = build_gadget(template)
             via_digraph = digraph_hom_exists(fr.digraph, gad.digraph)
             if direct != via_digraph:
                 return False, (f"pair #{i}: direct {direct}, "
@@ -197,15 +196,14 @@ def criterion_4(seed=42):
                 list(itertools.product([0, 1, 2], repeat=2)), 5))])
         checked = 0
         for template in (two_cycle(), third):
-            col = collapse_to_single_relation(template)
-            gad = build_gadget(col.structure)
+            gad = build_gadget(template)
             for _ in range(100):
                 g = random_balanced_digraph(rng, max_height=gad.height)
                 direct = digraph_hom_exists(g, gad.digraph)
                 out = backward_reduce(g, template)
                 if isinstance(out, Reduced):
                     got = find_homomorphism(out.instance,
-                                            col.structure) is not None
+                                            gad.template) is not None
                 else:
                     got = out.answer
                 if got != direct:
@@ -278,7 +276,7 @@ def criterion_7(seed=42):
         cases.append(parity_template())
         for t in cases:
             endos_t = endomorphisms(t)
-            gad = build_gadget(collapse_to_single_relation(t).structure)
+            gad = build_gadget(t)
             dstruct = gad.digraph.as_structure()
             endos_d = endomorphisms(dstruct)
             if len(endos_t) != len(endos_d):
@@ -384,7 +382,7 @@ def criterion_10(seed=42):
     the squared gadget."""
     def check():
         for t in (two_cycle(), one_element()):
-            gad = build_gadget(collapse_to_single_relation(t).structure)
+            gad = build_gadget(t)
             g = gad.digraph
             diag = diagonal_component_pairs(g)
             for pair in itertools.product(g.vertices, repeat=2):

@@ -20,7 +20,8 @@ direction from a domain mask to the union of its values' masks.  Every
 revision is made in the propagation loop: a binary one is two memo
 lookups and two ANDs, one of another arity scans the support's tuples.
 A leaf is checked against the source tuples' relations before it is
-reported.
+reported; one that fails is a broken invariant and raises
+:class:`AssertionError`, never a negative answer.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -137,7 +138,8 @@ class HomInstance:
         for r in source.relations:
             support = _Support(zip(*target.relation(r.name).columns),
                                r.arity, nvals)
-            self._checks.append((r.columns, frozenset(support.tuples)))
+            self._checks.append(
+                (r.name, r.columns, frozenset(support.tuples)))
             start = len(constraints)
             if r.arity == 2 and not any(map(eq, *r.columns)):
                 constraints += map(_Constraint, zip(*r.columns),
@@ -257,12 +259,15 @@ class HomInstance:
     # -- search --------------------------------------------------------
 
     def _verify(self, assignment):
+        """Raise :class:`AssertionError` at a source tuple the leaf
+        breaks: propagation leaves none, so one is a broken invariant."""
         value = assignment.__getitem__
-        for columns, allowed in self._checks:
+        for name, columns, allowed in self._checks:
             for scope in zip(*columns):
                 if tuple(map(value, scope)) not in allowed:
-                    return False
-        return True
+                    bad = ", ".join(str(self.vars[x]) for x in scope)
+                    raise AssertionError(
+                        f"search leaf breaks source {name} tuple ({bad})")
 
     def solve_all(self, budget=DEFAULT_BUDGET, limit=None):
         """Enumerate homomorphisms in canonical order.
@@ -319,8 +324,8 @@ class HomInstance:
                     heappop(heap)
                 else:
                     assignment = [m.bit_length() - 1 for m in masks]
-                    if self._verify(assignment):
-                        out.append(tuple(assignment))
+                    self._verify(assignment)
+                    out.append(tuple(assignment))
                     if len(out) == limit:
                         return out
             if not stack:

@@ -65,9 +65,27 @@ def test_build_output_is_reproducible(tmp_path):
     assert len(obj["vertices"]) == 78 and len(obj["edges"]) == 80
 
 
-def test_build_respects_max_arity(tmp_path, capsys):
-    assert main(["build", "parity", "--max-arity", "3"]) == 2
-    assert "max-arity" in capsys.readouterr().err
+def test_build_takes_any_template(tmp_path, capsys):
+    """Three ternary relations over {0,1} collapse to arity 9; build
+    takes them as forward and lift do."""
+    three = write_json(tmp_path, "three.json", {
+        "domain": [0, 1],
+        "relations": [{"name": name, "arity": 3, "tuples": tuples}
+                      for name, tuples in (("P", [[0, 0, 1], [1, 1, 0]]),
+                                           ("Q", [[0, 1, 1]]),
+                                           ("S", [[1, 0, 0], [0, 0, 0]]))]})
+    assert main(["build", three, "--format", "table"]) == 0
+    out = capsys.readouterr().out
+    assert "arity 9" in out and "paths 8" in out
+
+
+def test_build_refuses_an_oversized_gadget(tmp_path, capsys):
+    big = write_json(tmp_path, "big.json", {
+        "domain": list(range(65)),
+        "relations": [{"name": "R", "arity": 1,
+                       "tuples": [[i] for i in range(64)]}]})
+    assert main(["build", big]) == 2
+    assert "4160 connecting paths" in capsys.readouterr().err
 
 
 def test_solve_yes_and_no(tmp_path, capsys):

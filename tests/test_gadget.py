@@ -5,8 +5,9 @@ import pytest
 from dgcsp.gadget import (GadgetDigraph, build_gadget, build_path,
                           count_formula, elem_name, tup_name)
 from dgcsp.reductions import compute_levels
-from dgcsp.structures import (InvalidStructureError, RelationalStructure,
-                              SizeGuardError)
+from dgcsp.structures import (EmptyRelationError, InvalidStructureError,
+                              RelationalStructure, SizeGuardError,
+                              collapse_to_single_relation)
 from dgcsp.templates import one_element, parity_template, two_cycle
 
 
@@ -115,8 +116,28 @@ def test_size_guard():
         GadgetDigraph(big)
 
 
-def test_multi_relation_template_is_rejected():
+def test_multi_relation_template_gets_the_gadget_of_its_collapse():
     s = RelationalStructure(
-        ["0"], [("P", 1, [("0",)]), ("Q", 1, [("0",)])])
-    with pytest.raises(InvalidStructureError):
+        ["0", "1"],
+        [("P", 1, [("0",), ("1",)]), ("Q", 2, [("0", "1"), ("1", "0")])])
+    col = collapse_to_single_relation(s).structure
+    gad = build_gadget(s)
+    assert gad.template == col and gad.k == 3
+    assert gad.digraph == build_gadget(col).digraph
+    assert gad.levels == build_gadget(col).levels
+
+
+@pytest.mark.parametrize("relations", [[], [("R", 1, [])],
+                                       [("P", 1, [("0",)]), ("Q", 2, [])]])
+def test_template_without_tuples_is_rejected_by_the_collapse(relations):
+    with pytest.raises(EmptyRelationError):
+        build_gadget(RelationalStructure(["0"], relations))
+
+
+def test_size_guard_counts_the_collapse_before_building_it():
+    # 65 elements times 65 * 64 collapsed tuples, counted without
+    # building the 4,160-tuple collapse
+    s = RelationalStructure(range(65), [("P", 1, [(i,) for i in range(65)]),
+                                        ("Q", 1, [(i,) for i in range(64)])])
+    with pytest.raises(SizeGuardError, match="270400 connecting paths"):
         build_gadget(s)

@@ -17,7 +17,7 @@ from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
 from dgcsp.selftest import random_balanced_digraph, random_instance_pair
 from dgcsp.solver import (DEFAULT_BUDGET, BudgetExhausted, digraph_hom,
                           digraph_hom_exists, find_homomorphism)
-from dgcsp.structures import (Digraph, RelationalStructure,
+from dgcsp.structures import (Digraph, RelationalStructure, SizeGuardError,
                               collapse_to_single_relation)
 from dgcsp.templates import parity_template, two_cycle
 
@@ -336,6 +336,46 @@ def test_forced_positions_runs_once_per_piece_shape(monkeypatch):
     assert len(calls) < len(out.components)
     for c in out.components:
         assert c.gamma == forced_positions(c.shape, 2, DEFAULT_BUDGET)
+
+
+def counted_builds(monkeypatch):
+    builds = []
+
+    def counted(template):
+        builds.append(template)
+        return build_gadget(template)
+
+    monkeypatch.setattr(reductions, "build_gadget", counted)
+    return builds
+
+
+def test_backward_builds_the_gadget_only_for_short_components(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    inst = RelationalStructure(
+        ["x", "y", "z"], [("E", 2, [("x", "y"), ("y", "z")])])
+    g = forward_translate(inst, two_cycle()).digraph
+    out = backward_reduce(g, two_cycle())
+    assert isinstance(out, Reduced) and builds == []
+    # two short components, one gadget
+    short = Digraph([*g.vertices, "s0", "s1", "t0", "t1"],
+                    [*g.edges, ("s0", "s1"), ("t1", "t0")])
+    with_short = backward_reduce(short, two_cycle())
+    assert len(builds) == 1
+    assert with_short.instance == out.instance
+
+
+def test_backward_needs_an_oversized_gadget_only_for_short_components():
+    # 65 elements and 64 unary tuples: D(A) would use 4,160 connecting
+    # paths, over the size guard
+    big = RelationalStructure(range(65), [("R", 1, [(i,) for i in range(64)])])
+    inst = RelationalStructure(["x", "y"], [("R", 1, [("x",), ("y",)])])
+    g = forward_translate(inst, big).digraph
+    out = backward_reduce(g, big)
+    assert isinstance(out, Reduced)
+    assert solved(out.instance, big)
+    short = Digraph([*g.vertices, "s0", "s1"], [*g.edges, ("s0", "s1")])
+    with pytest.raises(SizeGuardError, match="4160 connecting paths"):
+        backward_reduce(short, big)
 
 
 def backward_cases():

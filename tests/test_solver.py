@@ -11,7 +11,8 @@ from dgcsp import algebra, selftest
 from dgcsp.gadget import build_gadget
 from dgcsp.reductions import backward_reduce, forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
-                          digraph_hom, digraph_hom_exists, find_homomorphism)
+                          _Constraint, _Support, digraph_hom,
+                          digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import (Digraph, RelationalStructure,
                               collapse_to_single_relation)
 from dgcsp.templates import leq_template, two_cycle
@@ -44,6 +45,20 @@ def test_hom_is_verified_against_all_relations():
         [("E", 2, [("0", "1"), ("1", "0")]), ("P", 1, [("0",)])])
     hom = find_homomorphism(s, t)
     assert hom == {"x": "0", "y": "1"}
+
+
+def test_a_leaf_that_fails_its_check_is_an_internal_error():
+    """Propagation lets through only leaves that keep every source
+    tuple; a broken support that lets another through raises rather
+    than reading as NO."""
+    inst = HomInstance(cycle_instance(3), two_cycle())
+    scope = inst.constraints[0].scope
+    inst.constraints[0] = _Constraint(
+        scope, _Support(itertools.product(range(2), repeat=2), 2, 2))
+    with pytest.raises(AssertionError, match=r"E tuple \(c0, c1\)"):
+        inst.solve()
+    with pytest.raises(AssertionError, match=r"E tuple \(c0, c1\)"):
+        inst.solve_all()
 
 
 def test_pins_are_respected():
