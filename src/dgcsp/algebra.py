@@ -62,14 +62,42 @@ class OperationTable:
             yield args, self._table[args]
 
     def polymorphism_failure(self, structure):
-        """First relation tuple combination this operation breaks, or None."""
+        """First relation tuple combination this operation breaks, in
+        product order, as ``(name, combination, image)``, or None.  Each
+        image is read by product index off the relation's position
+        columns, from the table's values in product order as positions."""
+        dom, m, names = self.domain, self.arity, structure.domain
+        at = {x: i for i, x in enumerate(dom)}
+        values = [self._table[args]
+                  for args in itertools.product(dom, repeat=m)]
+        # a value outside the structure sits at no position, so no
+        # image that holds it is related
+        place = [structure.index(v) if v in structure else -1
+                 for v in values]
         for r in structure.relations:
-            related = frozenset(r.tuples)
-            for combo in itertools.product(r.tuples, repeat=self.arity):
-                image = tuple(map(self._table.__getitem__, zip(*combo)))
-                if image not in related:
-                    return (r.name, combo, image)
+            idx = [_product_indices([at[names[i]] for i in c], m, len(dom))
+                   for c in r.columns]
+            related = set(zip(*r.columns))
+            ok = list(map(related.__contains__,
+                          zip(*[map(place.__getitem__, i) for i in idx])))
+            if not all(ok):
+                c = ok.index(False)
+                size = len(r.columns[0])
+                digits = [c // size ** e % size for e in range(m - 1, -1, -1)]
+                return (r.name, tuple(map(r.tuples.__getitem__, digits)),
+                        tuple(values[i[c]] for i in idx))
         return None
+
+
+def _product_indices(column, m, n):
+    """The product-order indices, over n elements, of the m-fold tuples
+    of the positions in ``column``, in product order: entry c is the
+    index of the tuple whose j-th place is ``column[d_j]``, for d_1 ...
+    d_m the base-``len(column)`` digits of c."""
+    idx = [0]
+    for _ in range(m):
+        idx = [a * n + b for a in idx for b in column]
+    return idx
 
 
 def operation_to_json(op):
@@ -348,8 +376,12 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
     args)``.  Identities merge indicators into classes and pin classes to
     constants: every merge is made before any pin is placed.  Each class
     is one solver variable, numbered in the order its first indicator
-    appears, and the polymorphism condition contributes the constraints.
-    The search is joint over all symbols.
+    appears; each symbol keeps its indicators' variables in one list in
+    product order.  The polymorphism condition contributes the
+    constraints: for each relation and symbol of arity m, one per m-fold
+    combination of relation tuples in product order, each of its columns
+    read from that list by product index off the relation's position
+    column.  The search is joint over all symbols.
     """
     domain = structure.domain
     total = sum(len(domain) ** ar for ar in system.symbols.values())
@@ -379,21 +411,26 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
                 uf.union(lnode, (r.symbol,
                                  tuple(assignment[v] for v in r.args)))
 
-    var = {}        # indicator -> solver variable, one per class
     first = {}      # class root -> solver variable
-    for s, ar in system.symbols.items():
-        for args in itertools.product(domain, repeat=ar):
-            var[s, args] = first.setdefault(uf.find((s, args)), len(first))
+    var = {s: [first.setdefault(uf.find((s, args)), len(first))
+               for args in itertools.product(domain, repeat=ar)]
+           for s, ar in system.symbols.items()}
+    n = len(domain)
     pins = {}
-    for node, value in pinned:
-        if pins.setdefault(var[node], value) != value:
+    for (s, args), value in pinned:
+        i = 0
+        for x in args:
+            i = i * n + structure.index(x)
+        if pins.setdefault(var[s][i], value) != value:
             return None
 
-    rels = [(r.name, r.arity,
-             [tuple([var[s, column] for column in zip(*combo)])
-              for s, ar in system.symbols.items()
-              for combo in itertools.product(r.tuples, repeat=ar)])
-            for r in structure.relations]
+    rels = []
+    for r in structure.relations:
+        tuples = []
+        for s, ar in system.symbols.items():
+            tuples += zip(*[map(var[s].__getitem__, _product_indices(c, ar, n))
+                            for c in r.columns])
+        rels.append((r.name, r.arity, tuples))
     source = RelationalStructure(range(len(first)), rels)
     names = source.domain
     sol = HomInstance(source, structure,
@@ -404,8 +441,8 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
 
     out = {}
     for s, ar in system.symbols.items():
-        mapping = {args: sol[names[var[s, args]]]
-                   for args in itertools.product(domain, repeat=ar)}
+        mapping = {args: sol[names[x]] for args, x in
+                   zip(itertools.product(domain, repeat=ar), var[s])}
         out[s] = OperationTable(domain, ar, mapping)
 
     good, why = check_identities(out, system, domain)

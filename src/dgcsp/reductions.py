@@ -33,6 +33,7 @@ from .structures import (
     UnionFind,
     _check_names,
     collapse_to_single_relation,
+    collapsed_arity,
 )
 
 
@@ -127,7 +128,6 @@ def compute_levels(g, max_height=None):
 @dataclass(frozen=True)
 class ForwardReduction:
     digraph: Digraph
-    collapsed: object           # CollapsedTemplate
     tops: tuple                 # one top vertex per collapsed constraint
 
 
@@ -138,8 +138,7 @@ def forward_translate(instance, template):
     names; everything else is fresh.  The output digraph maps to the
     template's gadget iff the instance maps to the template.
     """
-    col = collapse_to_single_relation(template)
-    k = col.arity
+    k = collapsed_arity(template)
     sig = template.signature()
     for r in instance.relations:
         if r.name not in sig or sig[r.name] != r.arity:
@@ -192,7 +191,7 @@ def forward_translate(instance, template):
             tops.append(top)
             add_path_copy(build_path(set(), k), v, top)
 
-    return ForwardReduction(Digraph(vertices, edges), col, tuple(tops))
+    return ForwardReduction(Digraph(vertices, edges), tuple(tops))
 
 
 # ---------------------------------------------------------------------

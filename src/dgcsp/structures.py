@@ -450,6 +450,19 @@ class CollapsedTemplate:
         return self.relation.arity
 
 
+def collapsed_arity(structure):
+    """The arity of a template's single-relation collapse, the sum of its
+    relations' arities, read without building it.  Raises
+    :class:`EmptyRelationError` for a template with no relations or with
+    an empty one, which has no collapse."""
+    if not structure.relations:
+        raise EmptyRelationError("template has no relations")
+    for r in structure.relations:
+        if not len(r.columns[0]):
+            raise EmptyRelationError(f"relation {r.name!r} has no tuples")
+    return sum(r.arity for r in structure.relations)
+
+
 def collapse_to_single_relation(structure):
     """Combine all relations of a template into one product relation.
 
@@ -458,18 +471,13 @@ def collapse_to_single_relation(structure):
     on its slice.  A template that is already single-relation is passed
     through unchanged.
     """
-    if not structure.relations:
-        raise EmptyRelationError("template has no relations")
-    for r in structure.relations:
-        if not len(r.columns[0]):
-            raise EmptyRelationError(f"relation {r.name!r} has no tuples")
+    arity = collapsed_arity(structure)
     if structure.is_single_relation:
         return CollapsedTemplate(structure)
     combined = []
     for combo in itertools.product(*(r.tuples for r in structure.relations)):
         flat = tuple(itertools.chain.from_iterable(combo))
         combined.append(flat)
-    arity = sum(r.arity for r in structure.relations)
     out = RelationalStructure(structure.domain, [("R", arity, combined)])
     return CollapsedTemplate(out)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dgcsp import selftest
+from dgcsp import algebra, selftest
 from dgcsp.algebra import (Identity, IdentityParseError, IdentitySystem,
                            OperationTable, Term, check_identities,
                            commutative_idempotent_binary_system, core_of,
@@ -12,7 +12,7 @@ from dgcsp.algebra import (Identity, IdentityParseError, IdentitySystem,
                            maltsev_system, three_permutability_system,
                            wnu_system, zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name
-from dgcsp.structures import RelationalStructure
+from dgcsp.structures import RelationalStructure, UnionFind
 from dgcsp.templates import (leq_template, parity_template, two_cycle,
                              zigzag_digraph_template)
 
@@ -40,6 +40,79 @@ def test_polymorphism_failure_reports_witness():
     assert name == "E"
     assert image not in two_cycle().relation("E").tuples
     assert t.polymorphism_failure(leq_template()) is None
+
+
+def _polymorphism_failure_by_loop(table, structure):
+    """The reference loop: every combination of relation tuples in
+    product order, its image read row by row off the table by name."""
+    for r in structure.relations:
+        related = frozenset(r.tuples)
+        for combo in itertools.product(r.tuples, repeat=table.arity):
+            image = tuple(table(*args) for args in zip(*combo))
+            if image not in related:
+                return (r.name, combo, image)
+    return None
+
+
+def _random_multi_relation_template(rng):
+    """One to three random relations of arity 1 to 3 over a shared
+    domain, listed in a shuffled order."""
+    parts = [selftest.random_template(rng, max_arity=3)
+             for _ in range(rng.randint(1, 3))]
+    domain = list(max((p.domain for p in parts), key=len))
+    rng.shuffle(domain)
+    return RelationalStructure(
+        domain, [(f"R{i}", p.relations[0].arity, p.relations[0].tuples)
+                 for i, p in enumerate(parts)])
+
+
+def _failure_cases():
+    """Tables against structures: random tables over random templates,
+    projections and found polymorphisms (which pass), a template with a
+    unary and a ternary relation and an element no tuple uses, and tables
+    over a larger domain whose values leave the structure's."""
+    rng = random.Random(24)
+    for _ in range(60):
+        s = _random_multi_relation_template(rng)
+        dom = list(s.domain)
+        rng.shuffle(dom)
+        m = rng.randint(1, 3)
+        yield s, OperationTable.from_function(
+            dom, m, lambda *args: rng.choice(dom))
+        yield s, OperationTable.from_function(
+            dom, m, lambda *args: args[rng.randrange(m)] if rng.random() < 0.9
+            else rng.choice(dom))
+        yield s, OperationTable.from_function(dom, m, lambda *args: args[-1])
+    unused = RelationalStructure(["a", "b", "c", "u"], [
+        ("U", 1, [("a",), ("c",)]),
+        ("T", 3, [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b"),
+                  ("a", "a", "b")])])
+    for m in (1, 2, 3):
+        for _ in range(20):
+            yield unused, OperationTable.from_function(
+                unused.domain, m, lambda *args: rng.choice("abcu"))
+    for s, system in ((unused, IdentitySystem({"f": 2}, [])),
+                      (two_cycle(), majority_system()),
+                      (leq_template(), wnu_system(3))):
+        for t in find_interpretations(s, system).values():
+            yield s, t
+    wider = ["x", "a", "c", "b", "u"]
+    for _ in range(20):
+        yield unused, OperationTable.from_function(
+            wider, 2, lambda *args: rng.choice(wider))
+    yield unused, OperationTable.from_function(
+        wider, 3, lambda x, y, z: "x" if (x, y, z) == ("b", "c", "a") else x)
+
+
+def test_polymorphism_failure_matches_the_reference_loop():
+    """The first failing combination in product order, with its image,
+    or None, exactly as the loop over name tuples finds it."""
+    verdicts = set()
+    for s, table in _failure_cases():
+        want = _polymorphism_failure_by_loop(table, s)
+        assert table.polymorphism_failure(s) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 # -- identity systems -------------------------------------------------
@@ -255,6 +328,94 @@ def test_triangle_has_no_small_wnu():
         [("E", 2, [(a, b) for a in "012" for b in "012" if a != b])])
     assert find_wnu(k3, 3) is None
     assert find_wnu(k3, 4) is None
+
+
+def _indicator_instance_by_names(structure, system):
+    """The reference rule: one indicator per ``(symbol, args)`` name
+    tuple, merged and pinned by the identities, numbered in the order its
+    class first appears, and one constraint per symbol and combination of
+    relation tuples, its columns looked up by name tuple.  Returns the
+    source and pins, or None where the pins contradict each other."""
+    domain = structure.domain
+    uf = UnionFind()
+    pinned = [((s, (a,) * system.symbols[s]), a)
+              for s in system.idempotent for a in domain]
+    for ident in system.identities:
+        vs = sorted(ident.variables())
+        l, r = ident.lhs, ident.rhs
+        if l.symbol is None:
+            l, r = r, l
+        for values in itertools.product(domain, repeat=len(vs)):
+            assignment = dict(zip(vs, values))
+            if l.symbol is None:
+                if assignment[l.args[0]] != assignment[r.args[0]]:
+                    return None
+                continue
+            lnode = (l.symbol, tuple(assignment[v] for v in l.args))
+            if r.symbol is None:
+                pinned.append((lnode, assignment[r.args[0]]))
+            else:
+                uf.union(lnode, (r.symbol,
+                                 tuple(assignment[v] for v in r.args)))
+    var, first = {}, {}
+    for s, ar in system.symbols.items():
+        for args in itertools.product(domain, repeat=ar):
+            var[s, args] = first.setdefault(uf.find((s, args)), len(first))
+    pins = {}
+    for node, value in pinned:
+        if pins.setdefault(var[node], value) != value:
+            return None
+    source = RelationalStructure(range(len(first)), [
+        (r.name, r.arity,
+         [tuple(var[s, column] for column in zip(*combo))
+          for s, ar in system.symbols.items()
+          for combo in itertools.product(r.tuples, repeat=ar)])
+        for r in structure.relations])
+    return source, {source.domain[x]: v for x, v in pins.items()}
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_indicator_instance_matches_the_name_tuple_rule(monkeypatch):
+    """The source and pins that ``find_interpretations`` hands the solver
+    are the ones the name-tuple rule builds, on random multi-relation
+    templates with shuffled domains, for systems with merges only, pins
+    from bare-variable sides, and two symbols."""
+    made = []
+
+    def capture(source, target, pins):
+        made.append((source, pins))
+        raise _Captured
+
+    monkeypatch.setattr(algebra, "HomInstance", capture)
+    systems = [wnu_system(3), majority_system(),
+               three_permutability_system(), cyclic_system(2),
+               commutative_idempotent_binary_system()]
+    rng = random.Random(8)
+    built = 0
+    for _ in range(100):
+        template = _random_multi_relation_template(rng)
+        for system in systems:
+            made.clear()
+            try:
+                find_interpretations(template, system)
+            except _Captured:
+                pass
+            want = _indicator_instance_by_names(template, system)
+            if want is None:
+                assert made == []
+                continue
+            (source, pins), = made
+            assert source.domain == want[0].domain
+            assert ([(r.name, r.arity, list(map(list, r.columns)))
+                     for r in source.relations]
+                    == [(r.name, r.arity, list(map(list, r.columns)))
+                        for r in want[0].relations])
+            assert pins == want[1]
+            built += 1
+    assert built > 400
 
 
 def test_find_interpretations_without_identities():

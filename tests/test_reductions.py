@@ -17,7 +17,8 @@ from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
 from dgcsp.selftest import random_balanced_digraph, random_instance_pair
 from dgcsp.solver import (DEFAULT_BUDGET, BudgetExhausted, digraph_hom,
                           digraph_hom_exists, find_homomorphism)
-from dgcsp.structures import (Digraph, RelationalStructure, SizeGuardError,
+from dgcsp.structures import (Digraph, EmptyRelationError,
+                              RelationalStructure, SizeGuardError,
                               collapse_to_single_relation)
 from dgcsp.templates import parity_template, two_cycle
 
@@ -88,7 +89,7 @@ def test_forward_multi_relation_template():
     inst = RelationalStructure(
         ["x", "y"], [("P", 1, [("x",)]), ("E", 2, [("x", "y")])])
     fr = forward_translate(inst, t)
-    gad = build_gadget(fr.collapsed.structure)
+    gad = build_gadget(t)
     assert digraph_hom_exists(fr.digraph, gad.digraph)
     # forcing x into P and onto y's partner both ways is still fine,
     # but P(x) & P(y) & E(x,y) is not
@@ -97,6 +98,31 @@ def test_forward_multi_relation_template():
         [("P", 1, [("x",), ("y",)]), ("E", 2, [("x", "y")])])
     fr2 = forward_translate(bad, t)
     assert not digraph_hom_exists(fr2.digraph, gad.digraph)
+
+
+def test_forward_reads_the_arity_without_building_the_collapse(monkeypatch):
+    """Four unary relations of 25 tuples over 25 elements collapse to
+    390,625 tuples; forward reads only k = 4 and gives the digraph it
+    gives for any template of the same signature."""
+    def refuse(template):
+        raise AssertionError("forward built the collapse")
+
+    monkeypatch.setattr(reductions, "collapse_to_single_relation", refuse)
+    names = ["P", "Q", "S", "U"]
+    big = RelationalStructure(range(25), [(r, 1, [(i,) for i in range(25)])
+                                          for r in names])
+    small = RelationalStructure(["0"], [(r, 1, [("0",)]) for r in names])
+    inst = RelationalStructure(["x"], [("P", 1, [("x",)])])
+    assert (forward_translate(inst, big).digraph
+            == forward_translate(inst, small).digraph)
+
+
+@pytest.mark.parametrize("relations", [[], [("R", 1, [])],
+                                       [("P", 1, [("0",)]), ("Q", 2, [])]])
+def test_forward_rejects_a_template_without_tuples(relations):
+    inst = RelationalStructure(["x"], [])
+    with pytest.raises(EmptyRelationError):
+        forward_translate(inst, RelationalStructure(["0"], relations))
 
 
 def _big_forward_instance():
