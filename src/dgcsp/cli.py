@@ -28,8 +28,8 @@ from .reductions import (Definite, amalgamate, backward_reduce,
                          stage3a_to_json)
 from .selftest import format_report, run_all
 from .solver import DEFAULT_BUDGET, BudgetExhausted, find_homomorphism
-from .structures import (Digraph, RelationalStructure,
-                         collapse_to_single_relation, digraph_to_dot)
+from .structures import (Digraph, RelationalStructure, collapsed_signature,
+                         digraph_to_dot)
 
 
 class UsageError(Exception):
@@ -118,12 +118,15 @@ def cmd_forward(args):
 
 def cmd_backward(args):
     if args.from_stage3a:
+        if args.input or args.format != "structure":
+            raise UsageError("--from-stage3a takes no --input and writes "
+                             "only --format structure")
         hyperedges, equalities = stage3a_from_json(
             _read_json(args.from_stage3a))
         if args.template:
-            col = collapse_to_single_relation(_load_structure(args.template))
+            name, k = collapsed_signature(_load_structure(args.template))
             res = amalgamate(hyperedges, equalities,
-                             relation_name=col.relation.name, arity=col.arity)
+                             relation_name=name, arity=k)
         else:
             res = amalgamate(hyperedges, equalities)
         _emit(_dump(res.structure.to_json()), args.output)

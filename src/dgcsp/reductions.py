@@ -33,7 +33,7 @@ from .structures import (
     UnionFind,
     _check_names,
     collapse_to_single_relation,
-    collapsed_arity,
+    collapsed_signature,
 )
 
 
@@ -138,7 +138,7 @@ def forward_translate(instance, template):
     names; everything else is fresh.  The output digraph maps to the
     template's gadget iff the instance maps to the template.
     """
-    k = collapsed_arity(template)
+    _, k = collapsed_signature(template)
     sig = template.signature()
     for r in instance.relations:
         if r.name not in sig or sig[r.name] != r.arity:
@@ -514,7 +514,6 @@ class Reduced:
     classes: dict = field(compare=False)
     hyperedges: tuple = ()
     equalities: tuple = ()
-    collapsed: object = None
     components: tuple = ()
 
 
@@ -524,10 +523,11 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
 
     Returns :class:`Definite` when stage 1 or 2 settles the question and
     :class:`Reduced` otherwise.  The gadget D(A) is built only when a
-    short component has to be solved against it, at most once per call.
+    short component has to be solved against it, at most once per call;
+    otherwise only the collapse's name and arity are read, never its
+    tuples.
     """
-    col = collapse_to_single_relation(template)
-    k = col.arity
+    name, k = collapsed_signature(template)
     n = path_height(k)
 
     levels = compute_levels(g, max_height=n)
@@ -541,7 +541,7 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     for comp in levels.position_components:
         if max(map(level.__getitem__, comp)) < n:
             if gad is None:
-                gad = build_gadget(col.structure)
+                gad = build_gadget(template)
             sub = g.induced(map(vs.__getitem__, comp))
             if digraph_hom(sub, gad.digraph, budget=budget) is None:
                 return Definite(
@@ -557,17 +557,9 @@ def backward_reduce(g, template, budget=DEFAULT_BUDGET):
     level_n = [v for v, l in zip(vs, level) if l == n]
     level_0 = [vs[v] for v in sorted(itertools.chain(*kept)) if level[v] == 0]
     hyperedges, equalities = extract_hyperedges(level_n, level_0, comps, k)
-    res = amalgamate(hyperedges, equalities,
-                     relation_name=col.relation.name, arity=k)
+    res = amalgamate(hyperedges, equalities, relation_name=name, arity=k)
     return Reduced(res.structure, res.classes, hyperedges, equalities,
-                   col, tuple(comps))
-
-
-def trivial_instance(template):
-    """The one-variable instance with every relation constraining it."""
-    rels = [(r.name, r.arity, [("x0",) * r.arity])
-            for r in template.relations]
-    return RelationalStructure(["x0"], rels)
+                   tuple(comps))
 
 
 def materialize(outcome, template):
@@ -576,19 +568,22 @@ def materialize(outcome, template):
 
     A definite YES becomes the collapsed template read as an instance
     (satisfied by the identity).  A definite NO becomes the one-variable
-    instance demanding a constant tuple; if the template admits one, no
-    unsatisfiable instance exists at all and this raises
-    :class:`TemplateTrivialError`.
+    instance over the collapse's signature, demanding a constant tuple;
+    if the collapse has one, no unsatisfiable instance exists at all and
+    this raises :class:`TemplateTrivialError`.  The collapse has the
+    constant tuple of an element exactly when every relation has it, so
+    a NO reads the relations' columns and never builds the collapse.
     """
     if isinstance(outcome, Reduced):
         return outcome.instance
-    col = collapse_to_single_relation(template)
     if outcome.answer:
-        return col.structure
-    k1 = trivial_instance(col.structure)
-    for t in col.relation.tuples:
-        if len(set(t)) == 1:
-            raise TemplateTrivialError(
-                "template admits a constant tuple; every instance over it "
-                "is satisfiable, so a NO outcome cannot be materialized")
-    return k1
+        return collapse_to_single_relation(template).structure
+    name, k = collapsed_signature(template)
+    constant = set.intersection(*(
+        {t[0] for t in zip(*r.columns) if len(set(t)) == 1}
+        for r in template.relations))
+    if constant:
+        raise TemplateTrivialError(
+            "template admits a constant tuple; every instance over it "
+            "is satisfiable, so a NO outcome cannot be materialized")
+    return RelationalStructure(["x0"], [(name, k, [("x0",) * k])])

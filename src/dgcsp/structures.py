@@ -441,18 +441,11 @@ class CollapsedTemplate:
 
     structure: RelationalStructure
 
-    @property
-    def relation(self):
-        return self.structure.relations[0]
 
-    @property
-    def arity(self):
-        return self.relation.arity
-
-
-def collapsed_arity(structure):
-    """The arity of a template's single-relation collapse, the sum of its
-    relations' arities, read without building it.  Raises
+def collapsed_signature(structure):
+    """The name and arity of a template's single-relation collapse, read
+    without building it: a single relation keeps its own, several become
+    ``"R"`` with the sum of their arities.  Raises
     :class:`EmptyRelationError` for a template with no relations or with
     an empty one, which has no collapse."""
     if not structure.relations:
@@ -460,24 +453,27 @@ def collapsed_arity(structure):
     for r in structure.relations:
         if not len(r.columns[0]):
             raise EmptyRelationError(f"relation {r.name!r} has no tuples")
-    return sum(r.arity for r in structure.relations)
+    if structure.is_single_relation:
+        r = structure.relations[0]
+        return r.name, r.arity
+    return "R", sum(r.arity for r in structure.relations)
 
 
 def collapse_to_single_relation(structure):
-    """Combine all relations of a template into one product relation.
+    """Combine all relations of a template into one product relation,
+    named and sized by :func:`collapsed_signature`.
 
     Solvability of instances is preserved both ways: a combined
     constraint on a block of variables says each original relation holds
     on its slice.  A template that is already single-relation is passed
     through unchanged.
     """
-    arity = collapsed_arity(structure)
+    name, arity = collapsed_signature(structure)
     if structure.is_single_relation:
         return CollapsedTemplate(structure)
     combined = []
     for combo in itertools.product(*(r.tuples for r in structure.relations)):
         flat = tuple(itertools.chain.from_iterable(combo))
         combined.append(flat)
-    out = RelationalStructure(structure.domain, [("R", arity, combined)])
+    out = RelationalStructure(structure.domain, [(name, arity, combined)])
     return CollapsedTemplate(out)
-

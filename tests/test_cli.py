@@ -136,6 +136,22 @@ def test_backward_from_stage3a(tmp_path, capsys):
     assert len(obj["domain"]) == 12
 
 
+@pytest.mark.parametrize("extra", [
+    ["--input", "/nonexistent.json"], ["--format", "table"],
+    ["--format", "stage3a"]], ids=["input", "table", "stage3a"])
+def test_backward_from_stage3a_refuses_input_and_format(tmp_path, capsys,
+                                                         extra):
+    from dgcsp.selftest import WORKED_EXAMPLE_STAGE3A
+    f = write_json(tmp_path, "w.json", WORKED_EXAMPLE_STAGE3A)
+    assert main(["backward", "2cycle", "--from-stage3a", f, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert main(["backward", "--from-stage3a", f,
+                 "--format", "structure"]) == 0
+
+
 def test_poly_none_on_the_zigzag(tmp_path, capsys):
     ids = tmp_path / "maltsev.ids"
     ids.write_text("idempotent p\np(y, x, x) = y\np(x, x, y) = y\n")

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcsp import reductions
+from dgcsp import cli, gadget, reductions, structures
+from dgcsp.cli import main
 from dgcsp.gadget import build_gadget, build_path
 from dgcsp.reductions import (Definite, Reduced, TemplateTrivialError,
                               amalgamate, backward_reduce, compute_levels,
                               forced_positions, forward_translate,
                               materialize, stage3a_from_json,
-                              stage3a_to_json, trivial_instance)
-from dgcsp.selftest import random_balanced_digraph, random_instance_pair
+                              stage3a_to_json)
+from dgcsp.selftest import (random_balanced_digraph, random_instance_pair,
+                            random_template)
 from dgcsp.solver import (DEFAULT_BUDGET, BudgetExhausted, digraph_hom,
                           digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import (Digraph, EmptyRelationError,
@@ -100,21 +102,61 @@ def test_forward_multi_relation_template():
     assert not digraph_hom_exists(fr2.digraph, gad.digraph)
 
 
-def test_forward_reads_the_arity_without_building_the_collapse(monkeypatch):
-    """Four unary relations of 25 tuples over 25 elements collapse to
-    390,625 tuples; forward reads only k = 4 and gives the digraph it
-    gives for any template of the same signature."""
+def refuse_collapse(monkeypatch):
+    """Make every call of the package's collapse fail, through any
+    module that binds its name."""
     def refuse(template):
-        raise AssertionError("forward built the collapse")
+        raise AssertionError("the collapse was built")
 
-    monkeypatch.setattr(reductions, "collapse_to_single_relation", refuse)
+    for module in (structures, reductions, gadget, cli):
+        monkeypatch.setattr(module, "collapse_to_single_relation", refuse,
+                            raising=False)
+
+
+def big_and_small_templates():
+    """Four unary relations of 25 tuples over 25 elements, which
+    collapse to 390,625 tuples, and one element with the same four."""
     names = ["P", "Q", "S", "U"]
     big = RelationalStructure(range(25), [(r, 1, [(i,) for i in range(25)])
                                           for r in names])
     small = RelationalStructure(["0"], [(r, 1, [("0",)]) for r in names])
+    return big, small
+
+
+def test_forward_reads_the_arity_without_building_the_collapse(monkeypatch):
+    """Forward reads only k = 4 of the big template and gives the
+    digraph it gives for any template of the same signature."""
+    refuse_collapse(monkeypatch)
+    big, small = big_and_small_templates()
     inst = RelationalStructure(["x"], [("P", 1, [("x",)])])
     assert (forward_translate(inst, big).digraph
             == forward_translate(inst, small).digraph)
+
+
+def test_backward_reads_the_signature_without_building_the_collapse(
+        monkeypatch, tmp_path, capsys):
+    """Backward, and amalgamating its hyperedge file against a template,
+    read only the name and arity of the big template's collapse, and
+    give what they give for the one-element template."""
+    refuse_collapse(monkeypatch)
+    big, small = big_and_small_templates()
+    inst = RelationalStructure(["x"], [("P", 1, [("x",)])])
+    g = forward_translate(inst, small).digraph
+    outs = [backward_reduce(g, t) for t in (big, small)]
+    assert all(isinstance(out, Reduced) for out in outs)
+    assert len({(out.instance, out.hyperedges, out.equalities)
+                for out in outs}) == 1
+    f = tmp_path / "s3a.json"
+    f.write_text(json.dumps(stage3a_to_json(outs[0].hyperedges,
+                                            outs[0].equalities)))
+    printed = []
+    for t in (big, small):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(t.to_json()))
+        assert main(["backward", str(path), "--from-stage3a", str(f)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert json.loads(printed[0])["relations"][0]["arity"] == 4
 
 
 @pytest.mark.parametrize("relations", [[], [("R", 1, [])],
@@ -306,8 +348,7 @@ def test_backward_matches_direct_search(case):
     if isinstance(out, Definite):
         got = out.answer
     else:
-        got = find_homomorphism(out.instance,
-                                out.collapsed.structure) is not None
+        got = solved(out.instance, template)
         # one unlabelled hyperedge per base of each topless piece
         unlabelled = [h for h in out.hyperedges if h.label is None]
         assert len(unlabelled) == sum(len(c.bases) for c in out.components
@@ -478,7 +519,7 @@ def test_piece_gammas_match_pinning_the_piece_in_place():
         out = backward_reduce(g, template)
         if not isinstance(out, Reduced):
             continue
-        gad = build_gadget(out.collapsed.structure)
+        gad = build_gadget(template)
         levels = dict(zip(g.vertices, compute_levels(g).by_position))
         for c in out.components:
             assert c.gamma == reference_gamma(g, levels, gad.height, c,
@@ -574,7 +615,49 @@ def test_materialize_passes_reduced_instance_through():
     assert materialize(out, two_cycle()) is out.instance
 
 
-def test_trivial_instance_over_parity():
-    inst = trivial_instance(parity_template())
-    assert inst.domain == ("x0",)
+def test_materialize_no_over_parity():
+    inst = materialize(Definite(False, "test"), parity_template())
+    assert inst == RelationalStructure(["x0"], [("R", 4, [("x0",) * 4])])
     assert not solved(inst, parity_template())
+
+
+def check_materialize_against_the_collapse(template):
+    """Both definite outcomes over a template, against its collapse,
+    built here; returns whether the collapse has a constant tuple."""
+    col = collapse_to_single_relation(template).structure
+    (rel,) = col.relations
+    trivial = any(len(set(t)) == 1 for t in rel.tuples)
+    assert materialize(Definite(True, "test"), template) == col
+    if trivial:
+        with pytest.raises(TemplateTrivialError):
+            materialize(Definite(False, "test"), template)
+    else:
+        inst = materialize(Definite(False, "test"), template)
+        assert [(r.name, r.arity) for r in inst.relations] == \
+            [(rel.name, rel.arity)]
+        assert find_homomorphism(inst, col) is None
+    return trivial
+
+
+@pytest.mark.parametrize("relations, trivial", [
+    ([("P", 1, [("0",)]), ("Q", 2, [("1", "1")])], False),
+    ([("P", 1, [("1",)]), ("Q", 2, [("0", "1"), ("1", "1")])], True),
+], ids=["constant-at-different-elements", "constant-at-the-same-element"])
+def test_materialize_no_over_two_relations(relations, trivial):
+    template = RelationalStructure(["0", "1"], relations)
+    assert check_materialize_against_the_collapse(template) is trivial
+
+
+def test_materialize_agrees_with_the_collapse_on_random_templates():
+    """Templates of one or two relations of arity up to 2, and single
+    relations of arity up to 4, from 200 seeds."""
+    verdicts = []
+    multi = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        template, _ = random_instance_pair(rng)
+        multi += not template.is_single_relation
+        for t in (template, random_template(rng, max_arity=4)):
+            verdicts.append(check_materialize_against_the_collapse(t))
+    assert multi > 50
+    assert 50 < sum(verdicts) < len(verdicts) - 50

@@ -435,7 +435,8 @@ def _one_in_three_backward_instance():
         ("U", 1, [("1",)])])
     out = backward_reduce(forward_translate(instance, template).digraph,
                           template)
-    return HomInstance(out.instance, out.collapsed.structure)
+    return HomInstance(out.instance,
+                       collapse_to_single_relation(template).structure)
 
 
 def test_pinned_tuple_scan_search():

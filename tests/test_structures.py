@@ -15,7 +15,8 @@ from dgcsp.solver import digraph_hom
 from dgcsp.structures import (Digraph, EmptyRelationError,
                               InvalidStructureError,
                               RelationalStructure,
-                              collapse_to_single_relation, digraph_to_dot)
+                              collapse_to_single_relation,
+                              collapsed_signature, digraph_to_dot)
 from dgcsp.templates import leq_template, two_cycle
 
 
@@ -198,16 +199,16 @@ def test_collapse_concatenates_relations():
     s = RelationalStructure(
         ["0", "1"],
         [("P", 1, [("0",), ("1",)]), ("E", 2, [("0", "1")])])
-    col = collapse_to_single_relation(s)
-    assert col.arity == 3
-    assert set(col.relation.tuples) == {("0", "0", "1"), ("1", "0", "1")}
+    (rel,) = collapse_to_single_relation(s).structure.relations
+    assert (rel.name, rel.arity) == collapsed_signature(s) == ("R", 3)
+    assert set(rel.tuples) == {("0", "0", "1"), ("1", "0", "1")}
 
 
 def test_collapse_passes_single_relation_through():
     s = two_cycle()
     col = collapse_to_single_relation(s)
     assert col.structure is s
-    assert col.relation.name == "E"
+    assert collapsed_signature(s) == ("E", 2)
 
 
 def test_induced_matches_filtering_every_edge():
