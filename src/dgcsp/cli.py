@@ -205,7 +205,7 @@ def cmd_lift(args):
     template = _load_structure(args.template)
     system = _system_from_args(args)
     gad = build_gadget(template)
-    interp = find_interpretations(gad.template, system, budget=args.budget)
+    interp = find_interpretations(template, system, budget=args.budget)
     if interp is None:
         print("none")
         return 1
@@ -215,6 +215,12 @@ def cmd_lift(args):
         print(f"unliftable: {exc}")
         return 1
     n = gad.digraph.num_vertices()
+    if args.output:
+        for s, op in sorted(lifted.items()):
+            if n ** op.arity > 200000:
+                raise UsageError(
+                    f"materializing {s} needs {n ** op.arity} rows; "
+                    "drop --output for a summary only")
     for s in sorted(lifted):
         print(f"lifted {s} (arity {lifted[s].arity}) to {n} vertices")
     if args.verify:
@@ -223,11 +229,6 @@ def cmd_lift(args):
             raise LiftInvariantError(f"verification failed: {why}")
         print("verified")
     if args.output:
-        for s, op in sorted(lifted.items()):
-            if n ** op.arity > 200000:
-                raise UsageError(
-                    f"materializing {s} needs {n ** op.arity} rows; "
-                    "drop --output for a summary only")
         _emit(_dump({s: operation_to_json(op) for s, op in lifted.items()}),
               args.output)
     return 0

@@ -127,15 +127,17 @@ def _internal_name(a, r, j):
 class GadgetDigraph:
     """The gadget digraph D(A) of any template A.
 
-    ``template`` is A collapsed to one relation, ``relation`` that
-    relation and ``k`` its arity; :data:`MAX_PAIRS` is checked before
-    the collapse.  Exposes the digraph itself, its levels as a
-    ``{vertex: level}`` dict, the instantiated path per element/tuple
-    pair, and per-vertex bookkeeping (kind, element or relation tuple,
-    owning pair, path position).  The digraph lists its vertices
-    elements first, then relation tuples, then the internal vertices of
-    each connecting path, element-major and by position along the path;
-    the lift reads its tie orders off this order.
+    ``template`` is A as given, whose own relations fix its
+    polymorphisms; ``relation`` is the one relation of A's collapse,
+    whose tuples the tuple vertices stand for, and ``k`` its arity;
+    :data:`MAX_PAIRS` is checked before the collapse.  Exposes the
+    digraph itself, its levels as a ``{vertex: level}`` dict, the
+    instantiated path per element/tuple pair, and per-vertex bookkeeping
+    (kind, element or relation tuple, owning pair, path position).  The
+    digraph lists its vertices elements first, then relation tuples,
+    then the internal vertices of each connecting path, element-major
+    and by position along the path; the lift reads its tie orders off
+    this order.
     """
 
     def __init__(self, template):
@@ -145,8 +147,7 @@ class GadgetDigraph:
         if pairs > MAX_PAIRS:
             raise SizeGuardError(
                 f"gadget would use {pairs} connecting paths (bound {MAX_PAIRS})")
-        template = collapse_to_single_relation(template).structure
-        rel = template.relations[0]
+        (rel,) = collapse_to_single_relation(template).structure.relations
         self.template = template
         self.relation = rel
         self.k = rel.arity

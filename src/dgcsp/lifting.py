@@ -37,8 +37,8 @@ from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
 
-from .algebra import (_ZPOS, _ZVERT, _rows_by_call, check_identities,
-                      find_interpretations, wnu_system)
+from .algebra import (_ZPOS, _ZVERT, OperationTable, _rows_by_call,
+                      check_identities, find_interpretations, wnu_system)
 from .gadget import elem_name, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
@@ -76,20 +76,19 @@ def lift_endomorphism(gadget, phi):
     """Extend a template endomorphism to the gadget digraph.
 
     ``phi`` maps template elements to template elements and must
-    preserve the relation.  The lift is the general construction at
-    arity 1, with ``phi`` as the template operation and the identity as
-    the zigzag operation.  Returns a vertex map of the gadget that
-    preserves edges and levels.
+    preserve every relation of the template.  The lift is the general
+    construction at arity 1, with ``phi`` as the template operation and
+    the identity as the zigzag operation.  Returns a vertex map of the
+    gadget that preserves edges and levels.
     """
     template = gadget.template
-    rel = gadget.relation
     for a in template.domain:
         if phi.get(a) not in template.domain:
             raise UnliftableSystemError(f"map does not cover element {a!r}")
-    for r in rel.tuples:
-        if tuple(phi[x] for x in r) not in rel.tuples:
-            raise UnliftableSystemError(
-                f"map does not preserve the relation on {r}")
+    bad = OperationTable.from_function(
+        template.domain, 1, phi.__getitem__).polymorphism_failure(template)
+    if bad is not None:
+        raise UnliftableSystemError(f"map does not preserve a relation: {bad}")
 
     op = LiftedOperation(gadget, 1, _row_evaluator(
         gadget, phi.__getitem__, lambda z: z), name="endomorphism-lift")
@@ -184,7 +183,8 @@ def lift_general(gadget, system, interps, budget=DEFAULT_BUDGET):
     Requirements, checked up front: every symbol is marked idempotent;
     every identity is balanced (same variable set on both sides) or uses
     at most two variables; ``interps`` satisfies the system on the
-    template and consists of polymorphisms; and the zigzag admits
+    template and consists of polymorphisms of its own relations, which
+    preserve its collapse as well; and the zigzag admits
     interpretations of the same system (searched for within ``budget``).
     Violations raise :class:`UnliftableSystemError`.
 

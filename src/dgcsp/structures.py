@@ -315,12 +315,6 @@ class Digraph:
     def __contains__(self, v):
         return v in self._index
 
-    def out_neighbors(self, v):
-        return tuple(self.vertices[w] for w in self.succ[self._index[v]])
-
-    def in_neighbors(self, v):
-        return tuple(self.vertices[w] for w in self.pred[self._index[v]])
-
     def num_vertices(self):
         return len(self.vertices)
 

@@ -7,6 +7,7 @@ from dgcsp import cli, reductions
 from dgcsp.cli import main
 from dgcsp.gadget import elem_name
 from dgcsp.lifting import LiftInvariantError
+from dgcsp.structures import RelationalStructure
 from dgcsp.templates import two_cycle
 
 
@@ -202,6 +203,42 @@ def test_lift_maltsev_rejected(tmp_path, capsys):
     ids.write_text("idempotent p\np(y, x, x) = y\np(x, x, y) = y\n")
     assert main(["lift", "2cycle", "--identities", str(ids)]) == 1
     assert "unliftable" in capsys.readouterr().out
+
+
+def test_lift_refuses_an_oversized_output_before_any_work(tmp_path, capsys):
+    """D(parity) has 78 vertices, so a ternary table has 78^3 rows: the
+    refusal comes before any line on stdout, the verification and the
+    file."""
+    out_file = tmp_path / "lift.json"
+    assert main(["lift", "parity", "--wnu", "3", "--verify",
+                 "--output", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: materializing w needs 474552 rows; "
+                            "drop --output for a summary only\n")
+    assert not out_file.exists()
+
+
+def test_lift_searches_the_template_not_its_collapse(tmp_path, monkeypatch,
+                                                     capsys):
+    """<= and >= on two elements: the search gets the two relations as
+    loaded, not their 9-tuple product of arity 4."""
+    order = [[0, 0], [0, 1], [1, 1]]
+    obj = {"domain": [0, 1], "relations": [
+        {"name": "LE", "arity": 2, "tuples": order},
+        {"name": "GE", "arity": 2, "tuples": [[b, a] for a, b in order]}]}
+    searched = []
+    find_interpretations = cli.find_interpretations
+
+    def recording(structure, *args, **kwargs):
+        searched.append(structure)
+        return find_interpretations(structure, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_interpretations", recording)
+    assert main(["lift", write_json(tmp_path, "t.json", obj),
+                 "--wnu", "3"]) == 0
+    assert searched == [RelationalStructure.from_json(obj)]
+    assert capsys.readouterr().out == "lifted w (arity 3) to 173 vertices\n"
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -90,12 +90,13 @@ class TestTwoCycleGadget:
             info = gadget.vertex_info[v]
             if info.kind != "path":
                 continue
-            if not g.out_neighbors(v):
+            i = g.index(v)
+            if not g.succ[i]:
                 # a peak: entered from both sides, strictly interior level
-                assert len(g.in_neighbors(v)) == 2
+                assert len(g.pred[i]) == 2
                 assert 2 <= gadget.levels[v] <= gadget.k + 1
-            if not g.in_neighbors(v):
-                assert len(g.out_neighbors(v)) == 2
+            if not g.pred[i]:
+                assert len(g.succ[i]) == 2
                 assert 1 <= gadget.levels[v] <= gadget.k
 
 
@@ -122,7 +123,8 @@ def test_multi_relation_template_gets_the_gadget_of_its_collapse():
         [("P", 1, [("0",), ("1",)]), ("Q", 2, [("0", "1"), ("1", "0")])])
     col = collapse_to_single_relation(s).structure
     gad = build_gadget(s)
-    assert gad.template == col and gad.k == 3
+    assert gad.template is s and gad.k == 3
+    assert gad.relation == col.relations[0]
     assert gad.digraph == build_gadget(col).digraph
     assert gad.levels == build_gadget(col).levels
 

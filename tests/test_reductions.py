@@ -38,7 +38,7 @@ def test_forward_keeps_variables_at_level_zero():
     inst = RelationalStructure(["x", "y"], [("E", 2, [("x", "y")])])
     fr = forward_translate(inst, t)
     assert "x" in fr.digraph and "y" in fr.digraph
-    assert not fr.digraph.in_neighbors("x")
+    assert not fr.digraph.pred[fr.digraph.index("x")]
     assert len(fr.tops) == 1
 
 
@@ -503,10 +503,10 @@ def reference_gamma(g, levels, n, comp, k):
         qp = build_path(full - {i}, k)
         pins = {}
         for v in comp.vertices:
-            if any(levels[u] == 0 for u in g.in_neighbors(v)):
+            if any(levels[g.vertices[u]] == 0 for u in g.pred[g.index(v)]):
                 pins[v] = "q1"
         for v in comp.vertices:
-            if any(levels[w] == n for w in g.out_neighbors(v)):
+            if any(levels[g.vertices[w]] == n for w in g.succ[g.index(v)]):
                 pins[v] = f"q{qp.last_position - 1}"
         if digraph_hom(sub, qp.realize("q"), pins=pins) is None:
             blocked.add(i)

@@ -71,9 +71,8 @@ def test_digraph_basics():
     g = Digraph(["b", "a", "c"], [("a", "b"), ("b", "c"), ("a", "b")])
     assert g.vertices == ("b", "a", "c")
     assert g.num_edges() == 2
-    assert g.out_neighbors("a") == ("b",)
-    assert g.in_neighbors("c") == ("b",)
-    assert "c" in g.out_neighbors("b") and "b" not in g.out_neighbors("c")
+    assert g.succ == ((2,), (0,), ())
+    assert g.pred == ((1,), (), (0,))
     with pytest.raises(InvalidStructureError):
         Digraph(["a"], [("a", "z")])
 
@@ -443,8 +442,9 @@ def test_position_walks_match_the_name_walks():
     for g, bound in _position_test_digraphs():
         out, inc = _name_adjacency(g)
         for v in g.vertices:
-            assert g.out_neighbors(v) == tuple(out[v])
-            assert g.in_neighbors(v) == tuple(inc[v])
+            i, name = g.index(v), g.vertices.__getitem__
+            assert tuple(map(name, g.succ[i])) == tuple(out[v])
+            assert tuple(map(name, g.pred[i])) == tuple(inc[v])
         assert g.weak_components() == _weak_components_by_name(g)
         keep = [v for v in g.vertices if rng.random() < 0.6] + ["unknown"]
         rng.shuffle(keep)
