@@ -10,7 +10,6 @@ ones forced to constants, and hand the rest to the solver.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -30,26 +29,42 @@ class IdentityParseError(ValueError):
 
 
 class OperationTable:
-    """A finite operation given by its full table."""
+    """A finite operation: its values once, in product order."""
 
     def __init__(self, domain, arity, mapping):
         self.domain = tuple(domain)
         self.arity = int(arity)
-        dom = set(self.domain)
+        dom = self._index = {x: i for i, x in enumerate(self.domain)}
         table = {}
         for args, value in mapping.items():
             args = tuple(args)
-            if len(args) != self.arity or not set(args) <= dom or value not in dom:
+            if len(args) != self.arity or not {*args, value} <= dom.keys():
                 raise ValueError(f"bad table row {args} -> {value}")
             table[args] = value
         if len(table) != len(self.domain) ** self.arity:
             raise ValueError(
                 f"table has {len(table)} rows, expected a complete table "
                 f"over {len(self.domain)} elements")
-        self._table = table
+        self.values = tuple(map(table.__getitem__, itertools.product(
+            self.domain, repeat=self.arity)))
 
     def __call__(self, *args):
-        return self._table[args]
+        # the offset in place, not through ``row``: the lift calls often
+        if len(args) != self.arity:
+            raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
+        index, n, i = self._index, len(self.domain), 0
+        for x in args:
+            i = i * n + index[x]
+        return self.values[i]
+
+    def row(self, prefix):
+        """The values at ``prefix + (y,)`` for every ``y`` in ``domain``."""
+        if len(prefix) != self.arity - 1:
+            raise TypeError(f"expected {self.arity - 1} prefix entries")
+        index, n, i = self._index, len(self.domain), 0
+        for x in prefix:
+            i = (i + index[x]) * n
+        return self.values[i:i + n]
 
     @classmethod
     def from_function(cls, domain, arity, fn):
@@ -58,18 +73,16 @@ class OperationTable:
         return cls(domain, arity, mapping)
 
     def rows(self):
-        for args in itertools.product(self.domain, repeat=self.arity):
-            yield args, self._table[args]
+        return zip(itertools.product(self.domain, repeat=self.arity),
+                   self.values)
 
     def polymorphism_failure(self, structure):
         """First relation tuple combination this operation breaks, in
         product order, as ``(name, combination, image)``, or None.  Each
         image is read by product index off the relation's position
-        columns, from the table's values in product order as positions."""
+        columns, from the table's values read as structure positions."""
         dom, m, names = self.domain, self.arity, structure.domain
-        at = {x: i for i, x in enumerate(dom)}
-        values = [self._table[args]
-                  for args in itertools.product(dom, repeat=m)]
+        at, values = self._index, self.values
         # a value outside the structure sits at no position, so no
         # image that holds it is related
         place = [structure.index(v) if v in structure else -1
@@ -103,14 +116,12 @@ def _product_indices(column, m, n):
 def operation_to_json(op):
     """The operation file format: ``arity`` and a ``map`` of
     ``[*args, value]`` rows over ``op.domain`` in product order, read
-    through ``op.row`` where the operation has it."""
+    through ``op.row``."""
     dom = op.domain
-    row = getattr(op, "row", None) or (
-        lambda prefix: [op(*prefix, y) for y in dom])
     return {"arity": op.arity,
             "map": [[*prefix, y, value] for prefix in
                     itertools.product(dom, repeat=op.arity - 1)
-                    for y, value in zip(dom, row(prefix))]}
+                    for y, value in zip(dom, op.row(prefix))]}
 
 
 # ---------------------------------------------------------------------
@@ -257,14 +268,13 @@ class IdentitySystem:
 def check_identities(interps, system, domain=None):
     """Check a family of operations against an identity system.
 
-    ``interps`` maps symbol names to callables with an ``arity``
-    attribute (tables or lifted operations); idempotence of ``s`` is
-    ``s(x,...,x) = x``.  Per assignment of an identity's sorted variables
-    but the last, both sides' values as the last runs over ``domain``
-    are compared as tuples, read from ``op.row(prefix)`` in the order of
-    ``op.domain``, or from calls.  Returns ``(True, None)`` or ``(False,
-    (description, assignment))`` with the first violation in product
-    order.
+    ``interps`` maps symbol names to operations (tables or lifted
+    operations); idempotence of ``s`` is ``s(x,...,x) = x``.  Per
+    assignment of an identity's sorted variables but the last, both
+    sides' values as the last runs over ``domain`` are compared as
+    tuples, read from ``op.row(prefix)`` in the order of ``op.domain``.
+    Returns ``(True, None)`` or ``(False, (description, assignment))``
+    with the first violation in product order.
     """
     for s, ar in system.symbols.items():
         if s not in interps:
@@ -279,9 +289,7 @@ def check_identities(interps, system, domain=None):
     readers = {None: (lambda prefix: domain, place)}
     for s in system.symbols:
         op = interps[s]
-        readers[s] = ((op.row, {x: i for i, x in enumerate(op.domain)})
-                      if hasattr(op, "row")
-                      else (_rows_by_call(op, domain), place))
+        readers[s] = (op.row, {x: i for i, x in enumerate(op.domain)})
     checks = [(f"idempotent {s}", Term(s, ("x",) * system.symbols[s]),
                Term(None, ("x",))) for s in sorted(system.idempotent)]
     checks += [(str(ident), ident.lhs, ident.rhs)
@@ -294,14 +302,6 @@ def check_identities(interps, system, domain=None):
                 j = list(map(eq, lcol, rcol)).index(False)
                 return False, (what, dict(zip(vs, values + (domain[j],))))
     return True, None
-
-
-def _rows_by_call(op, verts):
-    """Row reads for an operation with only ``__call__``: the row of a
-    prefix is ``op(*prefix, y)`` for every ``y`` in ``verts``, as a
-    tuple, kept once built."""
-    return functools.cache(lambda prefix: tuple([op(*prefix, y)
-                                                 for y in verts]))
 
 
 # ---------------------------------------------------------------------

@@ -7,8 +7,9 @@ question back to an instance question), plus ``solve``, ``poly``,
 inputs and seed give byte-identical bytes.
 
 Exit codes: 0 success, 1 a requested decision came back negative,
-2 usage or input error, 3 solver budget exhausted, 4 internal error (a
-broken invariant of the program, never a negative answer).
+2 usage or input error, 3 a resource ran out (the solver's node budget,
+or memory), 4 internal error (a broken invariant of the program, never
+a negative answer).
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .structures import (Digraph, RelationalStructure, collapsed_signature,
 
 class UsageError(Exception):
     pass
+
+
+# the most rows ``lift --output`` writes per lifted symbol, and the most
+# entries (n^arity over n gadget vertices) ``lift --verify`` checks
+MAX_OUTPUT_ROWS = 200_000
+MAX_VERIFY_ENTRIES = 10 ** 8
 
 
 BUILTIN_TEMPLATES = {
@@ -215,12 +222,15 @@ def cmd_lift(args):
         print(f"unliftable: {exc}")
         return 1
     n = gad.digraph.num_vertices()
-    if args.output:
-        for s, op in sorted(lifted.items()):
-            if n ** op.arity > 200000:
-                raise UsageError(
-                    f"materializing {s} needs {n ** op.arity} rows; "
-                    "drop --output for a summary only")
+    for s, op in sorted(lifted.items()):
+        if args.output and n ** op.arity > MAX_OUTPUT_ROWS:
+            raise UsageError(
+                f"materializing {s} needs {n ** op.arity} rows; "
+                "drop --output for a summary only")
+        if args.verify and n ** op.arity > MAX_VERIFY_ENTRIES:
+            raise UsageError(
+                f"verifying {s} reads {n ** op.arity} entries "
+                f"(bound {MAX_VERIFY_ENTRIES}); drop --verify")
     for s in sorted(lifted):
         print(f"lifted {s} (arity {lifted[s].arity}) to {n} vertices")
     if args.verify:
@@ -330,6 +340,9 @@ def main(argv=None):
         return args.fn(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc!r}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

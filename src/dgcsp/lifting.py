@@ -37,8 +37,8 @@ from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
 
-from .algebra import (_ZPOS, _ZVERT, OperationTable, _rows_by_call,
-                      check_identities, find_interpretations, wnu_system)
+from .algebra import (_ZPOS, _ZVERT, OperationTable, check_identities,
+                      find_interpretations, wnu_system)
 from .gadget import elem_name, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
@@ -95,7 +95,7 @@ def lift_endomorphism(gadget, phi):
     bad = polymorphism_failure_on_digraph(gadget.digraph, op)
     if bad is not None:
         raise LiftInvariantError(f"lift breaks edges: {bad}")
-    return {v: op(v) for v in gadget.digraph.vertices}
+    return dict(zip(op.domain, op.row(())))
 
 
 # ---------------------------------------------------------------------
@@ -501,26 +501,25 @@ def polymorphism_failure_on_digraph(g, op):
     gets one set test: the pairs of tail row and head row entries at
     the ends of every edge of ``g`` must all be edges.  Only a prefix
     with a failing head row is scanned entry by entry, to name its first
-    failure.  ``op`` is any callable with an ``arity``; its rows come
-    from ``op.row(prefix)`` when it has one, in the order of
-    ``g.vertices``, and are otherwise built from ``op(*prefix, y)`` and
-    kept for the rest of the check.
+    failure.  Rows come from ``op.row(prefix)``, in the order of
+    ``op.domain``, which must be ``g.vertices`` (else ValueError).
     """
+    verts = g.vertices
+    if tuple(op.domain) != verts:
+        raise ValueError("the operation is not over g.vertices in order")
     edges = frozenset(g.edges)
     if not edges:
         return None
-    verts = g.vertices
     out = {v: tuple(map(verts.__getitem__, s)) for v, s in zip(verts, g.succ)}
     # getters of the entries at every edge's tail and at its head, always
     # tuples (the first edge is given twice)
     at_tails, at_heads = (itemgetter(*at, at[0])
                           for at in g.as_structure().relations[0].columns)
-    row = getattr(op, "row", None) or _rows_by_call(op, verts)
     for prefix in itertools.product([t for t in verts if out[t]],
                                     repeat=op.arity - 1):
-        tail_row = row(prefix)
+        tail_row = op.row(prefix)
         tail_images = at_tails(tail_row)
-        head_rows = [(head, row(head)) for head in
+        head_rows = [(head, op.row(head)) for head in
                      itertools.product(*map(out.__getitem__, prefix))]
         if all(edges.issuperset(zip(tail_images, at_heads(head_row)))
                for _, head_row in head_rows):
@@ -540,9 +539,14 @@ def polymorphism_failure_on_digraph(g, op):
 def verify_lifted_system(gadget, lifted, system):
     """Exhaustively check a lifted family: identities over all vertex
     assignments and the polymorphism property over all edge tuples.
-    Returns (ok, detail)."""
-    ok, why = check_identities(lifted, system,
-                               domain=gadget.digraph.vertices)
+    Returns (ok, detail).  A member that is no :class:`LiftedOperation`
+    is read through one, by calls in vertex order."""
+    verts = gadget.digraph.vertices
+    lifted = {s: op if isinstance(op, LiftedOperation) else
+              LiftedOperation(gadget, op.arity, lambda prefix, op=op: (
+                  [op(*prefix, y) for y in verts], Counter()), name=s)
+              for s, op in lifted.items()}
+    ok, why = check_identities(lifted, system, domain=verts)
     if not ok:
         return False, f"identity failure: {why}"
     for s, op in lifted.items():

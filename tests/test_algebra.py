@@ -32,6 +32,42 @@ def test_table_from_function_and_json():
     assert all(t(x, x) == x for x in t.domain)
 
 
+def test_table_rows_calls_and_listing_agree_with_its_function():
+    """On seeded random tables of arity 1-4 over 1-5 elements in a
+    shuffled order, ``row``, calls and ``rows()`` all read the function
+    the table was built from: rows in domain order, listing in product
+    order."""
+    rng = random.Random(7)
+    for _ in range(40):
+        domain = [f"e{i}" for i in range(rng.randint(1, 5))]
+        rng.shuffle(domain)
+        m = rng.randint(1, 4)
+        values = {args: rng.choice(domain)
+                  for args in itertools.product(domain, repeat=m)}
+        t = OperationTable.from_function(domain, m, lambda *a: values[a])
+        assert list(t.rows()) == list(values.items())
+        for prefix in itertools.product(domain, repeat=m - 1):
+            assert t.row(prefix) == tuple(values[prefix + (y,)]
+                                          for y in domain)
+            assert all(t(*prefix, y) == values[prefix + (y,)]
+                       for y in domain)
+
+
+def test_table_reads_reject_wrong_lengths_and_unknown_elements():
+    t = OperationTable.from_function(["0", "1", "2"], 3,
+                                     lambda x, y, z: max(x, y, z))
+    for args in [(), ("0", "1"), ("0", "1", "2", "0")]:
+        with pytest.raises(TypeError):
+            t(*args)
+    for prefix in [(), ("0",), ("0", "1", "2")]:
+        with pytest.raises(TypeError):
+            t.row(prefix)
+    with pytest.raises(KeyError):
+        t("0", "1", "3")
+    with pytest.raises(KeyError):
+        t.row(("3", "0"))
+
+
 def test_polymorphism_failure_reports_witness():
     t = OperationTable.from_function(["0", "1"], 2, min)
     bad = t.polymorphism_failure(two_cycle())

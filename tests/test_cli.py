@@ -219,6 +219,29 @@ def test_lift_refuses_an_oversized_output_before_any_work(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_lift_refuses_an_oversized_verification_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    """<= and >= on four elements have a gadget of 4504 vertices, so the
+    verification of a ternary lift would read 4504^3 entries: the refusal
+    comes before any line on stdout and before the verification."""
+    order = [[a, b] for a in range(4) for b in range(4) if a <= b]
+    path = write_json(tmp_path, "leqgeq4.json", {
+        "domain": list(range(4)), "relations": [
+            {"name": "LE", "arity": 2, "tuples": order},
+            {"name": "GE", "arity": 2, "tuples": [[b, a] for a, b in order]}]})
+
+    def never(*args):
+        pytest.fail("the verification ran")
+
+    monkeypatch.setattr(cli, "verify_lifted_system", never)
+    assert main(["lift", path, "--wnu", "3", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: verifying w reads {4504 ** 3} entries (bound "
+        f"{cli.MAX_VERIFY_ENTRIES}); drop --verify\n")
+
+
 def test_lift_searches_the_template_not_its_collapse(tmp_path, monkeypatch,
                                                      capsys):
     """<= and >= on two elements: the search gets the two relations as
@@ -443,6 +466,19 @@ def test_lift_invariant_failure_exits_4(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: broken invariant\n"
 
 
+def test_running_out_of_memory_exits_3(monkeypatch, capsys):
+    """Memory is a resource like the node budget: running out of it is
+    exit 3 with one line, never a traceback or a negative answer."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("indicator table")
+
+    monkeypatch.setattr(cli, "find_interpretations", exhausted)
+    assert main(["poly", "2cycle", "--wnu", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "out of memory: MemoryError('indicator table')\n"
+
+
 def test_failed_lift_verification_exits_4(monkeypatch, capsys):
     """A lift that fails its own exhaustive verification is a broken
     invariant, not a negative answer."""
@@ -453,9 +489,16 @@ def test_failed_lift_verification_exits_4(monkeypatch, capsys):
         w = lift_general(*args, **kwargs)["w"]
 
         def bad(*c):
-            return elem_name("1") if c == (x, x, x) else w(*c)
+            return bad.row(c[:-1])[w.domain.index(c[-1])]
 
-        bad.arity = w.arity
+        def row(prefix):
+            values = w.row(prefix)
+            if prefix != (x, x):
+                return values
+            i = w.domain.index(x)
+            return values[:i] + (elem_name("1"),) + values[i + 1:]
+
+        bad.arity, bad.domain, bad.row = w.arity, w.domain, row
         return {"w": bad}
 
     monkeypatch.setattr(cli, "lift_general", one_wrong_tuple)
