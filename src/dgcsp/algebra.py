@@ -49,13 +49,9 @@ class OperationTable:
             self.domain, repeat=self.arity)))
 
     def __call__(self, *args):
-        # the offset in place, not through ``row``: the lift calls often
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
-        index, n, i = self._index, len(self.domain), 0
-        for x in args:
-            i = i * n + index[x]
-        return self.values[i]
+        return self.row(args[:-1])[self._index[args[-1]]]
 
     def row(self, prefix):
         """The values at ``prefix + (y,)`` for every ``y`` in ``domain``."""
@@ -77,29 +73,45 @@ class OperationTable:
                    self.values)
 
     def polymorphism_failure(self, structure):
-        """First relation tuple combination this operation breaks, in
-        product order, as ``(name, combination, image)``, or None.  Each
-        image is read by product index off the relation's position
-        columns, from the table's values read as structure positions."""
-        dom, m, names = self.domain, self.arity, structure.domain
-        at, values = self._index, self.values
-        # a value outside the structure sits at no position, so no
-        # image that holds it is related
-        place = [structure.index(v) if v in structure else -1
-                 for v in values]
-        for r in structure.relations:
-            idx = [_product_indices([at[names[i]] for i in c], m, len(dom))
-                   for c in r.columns]
-            related = set(zip(*r.columns))
-            ok = list(map(related.__contains__,
-                          zip(*[map(place.__getitem__, i) for i in idx])))
-            if not all(ok):
-                c = ok.index(False)
-                size = len(r.columns[0])
-                digits = [c // size ** e % size for e in range(m - 1, -1, -1)]
-                return (r.name, tuple(map(r.tuples.__getitem__, digits)),
-                        tuple(values[i[c]] for i in idx))
-        return None
+        """:func:`polymorphism_failure` of this table."""
+        return polymorphism_failure(self, structure)
+
+
+def polymorphism_failure(op, structure):
+    """The first combination of relation tuples, one per argument, that
+    ``op`` does not map into their relation, in product order, relations
+    in order, as ``(name, combination, image)``, or None.
+
+    ``op`` is read through ``op.row`` alone, each element at its place in
+    ``op.domain``, so a table, a lifted operation or any operation with
+    rows is checked alike.  Per relation and combination of every tuple
+    but the last, each coordinate reads one row, re-read only when its
+    prefix changes, and one set test covers every last tuple; only a
+    failing combination is scanned tuple by tuple.  A value outside the
+    structure is in no relation tuple, so it fails.
+    """
+    at = {x: i for i, x in enumerate(op.domain)}
+    for r in structure.relations:
+        tuples = r.tuples
+        if not tuples:
+            continue
+        related = frozenset(tuples)
+        columns = [[structure.domain[i] for i in c] for c in r.columns]
+        # the row places of every last tuple's entries, always a tuple
+        # (the first is read twice)
+        getters = [itemgetter(*places, places[0])
+                   for places in ([at[x] for x in c] for c in columns)]
+        last, images = [None] * r.arity, [None] * r.arity
+        for prefixes in zip(*[itertools.product(c, repeat=op.arity - 1)
+                              for c in columns]):
+            for j, prefix in enumerate(prefixes):
+                if prefix != last[j]:
+                    last[j], images[j] = prefix, getters[j](op.row(prefix))
+            if not related.issuperset(zip(*images)):
+                for t, image in zip(tuples, zip(*images)):
+                    if image not in related:
+                        return r.name, (*zip(*prefixes), t), image
+    return None
 
 
 def _product_indices(column, m, n):

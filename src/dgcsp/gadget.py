@@ -133,11 +133,10 @@ class GadgetDigraph:
     :data:`MAX_PAIRS` is checked before the collapse.  Exposes the
     digraph itself, its levels as a ``{vertex: level}`` dict, the
     instantiated path per element/tuple pair, and per-vertex bookkeeping
-    (kind, element or relation tuple, owning pair, path position).  The
-    digraph lists its vertices elements first, then relation tuples,
-    then the internal vertices of each connecting path, element-major
-    and by position along the path; the lift reads its tie orders off
-    this order.
+    (kind, element or relation tuple, owning pair).  The digraph lists
+    its vertices elements first, then relation tuples, then the internal
+    vertices of each connecting path, element-major and by position
+    along the path; the lift reads its tie orders off this order.
     """
 
     def __init__(self, template):
@@ -174,8 +173,7 @@ class GadgetDigraph:
             for j in range(1, qp.last_position):
                 vertices.append(names[j])
                 levels.append(qlevels[j])
-                self.vertex_info[names[j]] = VertexInfo(
-                    "path", edge=(a, r), position=j)
+                self.vertex_info[names[j]] = VertexInfo("path", edge=(a, r))
             edges.extend(qp.edges(names))
             self.paths[(a, r)] = GadgetPath(qp, tuple(names))
 
@@ -202,7 +200,6 @@ class VertexInfo:
     element: str = None
     rtuple: tuple = None
     edge: tuple = None
-    position: int = None
 
 
 def build_gadget(template):

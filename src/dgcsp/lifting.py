@@ -32,13 +32,12 @@ pairs are evaluated one by one.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from collections import Counter
 from operator import itemgetter
 
 from .algebra import (_ZPOS, _ZVERT, OperationTable, check_identities,
-                      find_interpretations, wnu_system)
+                      find_interpretations, polymorphism_failure, wnu_system)
 from .gadget import elem_name, tup_name
 from .solver import DEFAULT_BUDGET
 from .templates import zigzag_digraph_template
@@ -85,13 +84,14 @@ def lift_endomorphism(gadget, phi):
     for a in template.domain:
         if phi.get(a) not in template.domain:
             raise UnliftableSystemError(f"map does not cover element {a!r}")
-    bad = OperationTable.from_function(
-        template.domain, 1, phi.__getitem__).polymorphism_failure(template)
+    table = OperationTable.from_function(template.domain, 1, phi.__getitem__)
+    bad = table.polymorphism_failure(template)
     if bad is not None:
         raise UnliftableSystemError(f"map does not preserve a relation: {bad}")
 
-    op = LiftedOperation(gadget, 1, _row_evaluator(
-        gadget, phi.__getitem__, lambda z: z), name="endomorphism-lift")
+    identity = OperationTable(_ZVERT, 1, {(z,): z for z in _ZVERT})
+    op = LiftedOperation(gadget, 1, _row_evaluator(gadget, table, identity),
+                         name="endomorphism-lift")
     bad = polymorphism_failure_on_digraph(gadget.digraph, op)
     if bad is not None:
         raise LiftInvariantError(f"lift breaks edges: {bad}")
@@ -112,10 +112,10 @@ class LiftedOperation:
     mapping from the cases that produced them to their counts.
     :meth:`row` reads a row, filling it on first use, and calls read
     their value from it; the checks read whole rows, one set test per
-    head row in :func:`polymorphism_failure_on_digraph` and one tuple
-    per identity column in :func:`check_identities`.  ``case_counts``
-    sums those counts when read, so it counts the entries of the rows
-    computed so far, not the distinct inputs seen.
+    combination of every edge but the last in the polymorphism check
+    and one tuple per identity column in :func:`check_identities`.
+    ``case_counts`` sums those counts when read, so it counts the
+    entries of the rows computed so far, not the distinct inputs seen.
     """
 
     def __init__(self, gadget, arity, row_evaluator, name="lift"):
@@ -269,6 +269,10 @@ def _row_evaluator(gadget, f_elem, f_zig):
     vertex for the rest.  One permutation puts the values in vertex
     order.  A row computes only those least ranks, the values of
     single-level entries and the isolated pairs.
+
+    ``f_elem`` and ``f_zig``, the template and zigzag operations, are
+    read a row at a time, each element at its place in their own
+    ``domain``.
     """
     g = gadget.digraph
     levels = gadget.levels
@@ -277,6 +281,8 @@ def _row_evaluator(gadget, f_elem, f_zig):
     by_low, low_rank, by_high, high_rank = _tie_orders(gadget)
     records = _section_records(gadget)
     n = len(g.vertices)
+    elem_at = {x: i for i, x in enumerate(f_elem.domain)}
+    zig_at = {x: i for i, x in enumerate(f_zig.domain)}
     no_out = {v: not s for v, s in zip(g.vertices, g.succ)}
     no_in = {v: not p for v, p in zip(g.vertices, g.pred)}
     classes = {}    # (level, no out-edge, no in-edge) -> [(position, vertex)]
@@ -284,8 +290,9 @@ def _row_evaluator(gadget, f_elem, f_zig):
         classes.setdefault((levels[y], no_out[y], no_in[y]), []).append((i, y))
     zig_low = {}
     plans = {}
-    # prefix path edges -> {last path edge: the target path's vertices,
-    # section spans and single sections}
+    # prefix path edges -> ({last path edge: the target path's vertices,
+    # section spans and single sections}, the edges' element row, their
+    # tuples' images)
     targets = {}
 
     def picks_low(bits):
@@ -293,7 +300,7 @@ def _row_evaluator(gadget, f_elem, f_zig):
         pattern of the two; cached per pattern."""
         low = zig_low.get(bits)
         if low is None:
-            z = f_zig(*bits)
+            z = f_zig.row(bits[:-1])[zig_at[bits[-1]]]
             if z not in ("00", "10"):
                 raise LiftInvariantError(
                     f"zigzag operation leaves the out-degree side: {z}")
@@ -398,15 +405,22 @@ def _row_evaluator(gadget, f_elem, f_zig):
                     del cases["isolated-set"]
         return to_vertex_order(values), cases
 
-    def image(columns, last):
+    def tuple_images(columns):
         """The relation tuple the template operation makes of the
-        prefix's tuples and the last one, coordinatewise."""
-        r = tuple(map(f_elem, *columns, last))
-        if r not in relation:
-            raise LiftInvariantError(
-                f"coordinatewise image {r} is not a relation tuple; the "
-                "template operation is not a polymorphism")
-        return r
+        prefix's tuples ``columns`` and a last one, coordinatewise, as a
+        function of the last."""
+        rows = [f_elem.row(tuple(c[j] for c in columns))
+                for j in range(gadget.k)]
+
+        def image(last):
+            r = tuple(row[elem_at[x]] for row, x in zip(rows, last))
+            if r not in relation:
+                raise LiftInvariantError(
+                    f"coordinatewise image {r} is not a relation tuple; the "
+                    "template operation is not a polymorphism")
+            return r
+
+        return image
 
     def single_level(prefix, lam, ys, cases):
         """The values at ``prefix + (y,)`` for last arguments ``ys`` on
@@ -418,32 +432,36 @@ def _row_evaluator(gadget, f_elem, f_zig):
         section common to the tuple's entries, inside the target path of
         their images."""
         if lam == 0:
-            column = [vertex_info[x].element for x in prefix]
+            row = f_elem.row(tuple(vertex_info[x].element for x in prefix))
             cases["elements"] += len(ys)
-            return [elem_name(f_elem(*column, vertex_info[y].element))
+            return [elem_name(row[elem_at[vertex_info[y].element]])
                     for y in ys]
         if lam == gadget.height:
-            columns = [vertex_info[x].rtuple for x in prefix]
+            image = tuple_images([vertex_info[x].rtuple for x in prefix])
             cases["tuples"] += len(ys)
-            return [tup_name(image(columns, vertex_info[y].rtuple))
-                    for y in ys]
+            return [tup_name(image(vertex_info[y].rtuple)) for y in ys]
         recs = [records[x] for x in prefix]
         edges = tuple(edge for edge, _ in recs)
-        elems = [a for a, _ in edges]
-        columns = [r for _, r in edges]
         common = {s: [offsets[s] for _, offsets in recs]
                   for s in (lam - 1, lam)
                   if all(s in offsets for _, offsets in recs)}
-        memo = targets.setdefault(edges, {})
+        zig_rows = {s: f_zig.row(tuple(map(_ZVERT.__getitem__, locs)))
+                    for s, locs in common.items() if None not in locs}
+        memo = targets.get(edges)
+        if memo is None:
+            memo = targets[edges] = (
+                {}, f_elem.row(tuple(a for a, _ in edges)),
+                tuple_images([r for _, r in edges]))
+        paths, elem_row, image = memo
         values = []
         for y in ys:
             edge, offsets = records[y]
-            target = memo.get(edge)
+            target = paths.get(edge)
             if target is None:
-                tp = gadget.paths[(f_elem(*elems, edge[0]),
-                                   image(columns, edge[1]))]
-                target = memo[edge] = (tp.vertices, tp.qpath.section_spans,
-                                       tp.qpath.single_edges)
+                tp = gadget.paths[(elem_row[elem_at[edge[0]]],
+                                   image(edge[1]))]
+                target = paths[edge] = (tp.vertices, tp.qpath.section_spans,
+                                        tp.qpath.single_edges)
             vertices, spans, singles = target
             section = next(filter(offsets.__contains__, common), None)
             if section is None:
@@ -455,7 +473,7 @@ def _row_evaluator(gadget, f_elem, f_zig):
                 value = vertices[lo if lam == section else hi]
                 case = "diagonal-single"
             elif None not in locs:
-                z = f_zig(*map(_ZVERT.__getitem__, locs))
+                z = zig_rows[section][zig_at[_ZVERT[offsets[section]]]]
                 value, case = vertices[lo + _ZPOS[z]], "diagonal-zigzag"
             elif locs.count(None) < len(locs):
                 value = by_low[min(low_rank[vertices[lo + p]]
@@ -491,56 +509,22 @@ def _section_records(gadget):
 
 
 def polymorphism_failure_on_digraph(g, op):
-    """First tuple of edges this vertex operation breaks, with the images
-    of its tails and of its heads, or None.
-
-    Edge tuples are checked in lexicographic (tail tuple, head tuple)
-    order, grouped by the tails' prefix, their first ``arity - 1``
-    entries.  Per prefix, the tails' row and the rows of every head
-    prefix (one out-neighbour per tail) are read once.  Each head row
-    gets one set test: the pairs of tail row and head row entries at
-    the ends of every edge of ``g`` must all be edges.  Only a prefix
-    with a failing head row is scanned entry by entry, to name its first
-    failure.  Rows come from ``op.row(prefix)``, in the order of
-    ``op.domain``, which must be ``g.vertices`` (else ValueError).
-    """
-    verts = g.vertices
-    if tuple(op.domain) != verts:
-        raise ValueError("the operation is not over g.vertices in order")
-    edges = frozenset(g.edges)
-    if not edges:
-        return None
-    out = {v: tuple(map(verts.__getitem__, s)) for v, s in zip(verts, g.succ)}
-    # getters of the entries at every edge's tail and at its head, always
-    # tuples (the first edge is given twice)
-    at_tails, at_heads = (itemgetter(*at, at[0])
-                          for at in g.as_structure().relations[0].columns)
-    for prefix in itertools.product([t for t in verts if out[t]],
-                                    repeat=op.arity - 1):
-        tail_row = op.row(prefix)
-        tail_images = at_tails(tail_row)
-        head_rows = [(head, op.row(head)) for head in
-                     itertools.product(*map(out.__getitem__, prefix))]
-        if all(edges.issuperset(zip(tail_images, at_heads(head_row)))
-               for _, head_row in head_rows):
-            continue
-        for t, ys in enumerate(g.succ):
-            image = tail_row[t]
-            for head, head_row in head_rows:
-                for y in ys:
-                    value = head_row[y]
-                    if (image, value) not in edges:
-                        return (tuple(zip(prefix + (verts[t],),
-                                          head + (verts[y],))),
-                                (image, value))
-    return None
+    """:func:`~dgcsp.algebra.polymorphism_failure` on the digraph's edge
+    relation: the first combination of edges, one per argument, in
+    product order over ``g.edges``, that this vertex operation breaks,
+    with the images of its tails and of its heads, or None."""
+    bad = polymorphism_failure(op, g.as_structure())
+    return None if bad is None else bad[1:]
 
 
 def verify_lifted_system(gadget, lifted, system):
     """Exhaustively check a lifted family: identities over all vertex
-    assignments and the polymorphism property over all edge tuples.
-    Returns (ok, detail).  A member that is no :class:`LiftedOperation`
-    is read through one, by calls in vertex order."""
+    assignments and the polymorphism property over all edge
+    combinations, both read by rows.  Returns (ok, detail), the detail
+    naming the first failure: the first failing assignment of an
+    identity, or of a symbol the first edge combination it breaks, in
+    product order.  A member that is no :class:`LiftedOperation` is read
+    through one, by calls in vertex order."""
     verts = gadget.digraph.vertices
     lifted = {s: op if isinstance(op, LiftedOperation) else
               LiftedOperation(gadget, op.arity, lambda prefix, op=op: (

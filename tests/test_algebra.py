@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,11 @@ from dgcsp.algebra import (Identity, IdentityParseError, IdentitySystem,
                            commutative_idempotent_binary_system, core_of,
                            cyclic_system, endomorphisms, find_interpretations, find_wnu,
                            is_core, kkvw_system, majority_system,
-                           maltsev_system, three_permutability_system,
-                           wnu_system, zigzag_operations)
+                           maltsev_system, polymorphism_failure,
+                           three_permutability_system, wnu_system,
+                           zigzag_operations)
 from dgcsp.gadget import build_gadget, elem_name
+from dgcsp.lifting import LiftedOperation, lift_endomorphism, lift_general
 from dgcsp.structures import RelationalStructure, UnionFind
 from dgcsp.templates import (leq_template, parity_template, two_cycle,
                              zigzag_digraph_template)
@@ -78,13 +81,14 @@ def test_polymorphism_failure_reports_witness():
     assert t.polymorphism_failure(leq_template()) is None
 
 
-def _polymorphism_failure_by_loop(table, structure):
+def _polymorphism_failure_by_loop(op, structure):
     """The reference loop: every combination of relation tuples in
-    product order, its image read row by row off the table by name."""
+    product order, its image read entry by entry off the operation by
+    calls."""
     for r in structure.relations:
         related = frozenset(r.tuples)
-        for combo in itertools.product(r.tuples, repeat=table.arity):
-            image = tuple(table(*args) for args in zip(*combo))
+        for combo in itertools.product(r.tuples, repeat=op.arity):
+            image = tuple(op(*args) for args in zip(*combo))
             if image not in related:
                 return (r.name, combo, image)
     return None
@@ -103,10 +107,12 @@ def _random_multi_relation_template(rng):
 
 
 def _failure_cases():
-    """Tables against structures: random tables over random templates,
-    projections and found polymorphisms (which pass), a template with a
-    unary and a ternary relation and an element no tuple uses, and tables
-    over a larger domain whose values leave the structure's."""
+    """Operations against structures: random tables over random
+    templates, projections and found polymorphisms (which pass), a
+    template with a unary and a ternary relation and an element no tuple
+    uses, tables over a larger domain whose values leave the structure's,
+    tables of arity 1 and 2 on a structure with empty relations of arity
+    1 and 2, and lifted operations on the 2-cycle's gadget digraph."""
     rng = random.Random(24)
     for _ in range(60):
         s = _random_multi_relation_template(rng)
@@ -138,15 +144,33 @@ def _failure_cases():
             wider, 2, lambda *args: rng.choice(wider))
     yield unused, OperationTable.from_function(
         wider, 3, lambda x, y, z: "x" if (x, y, z) == ("b", "c", "a") else x)
+    empty = RelationalStructure(["a", "b", "c"], [
+        ("N", 1, []), ("M", 2, []),
+        ("E", 2, [("a", "b"), ("b", "c"), ("c", "a")]), ("P", 1, [])])
+    for m in (1, 2):
+        for _ in range(10):
+            yield empty, OperationTable.from_function(
+                empty.domain, m, lambda *args: rng.choice("abc"))
+    gadget = build_gadget(two_cycle())
+    g = gadget.digraph.as_structure()
+    for system, symbol in ((wnu_system(3), "w"), (majority_system(), "maj"),
+                           (kkvw_system(), "v")):
+        yield g, lift_general(gadget, system,
+                              find_interpretations(two_cycle(), system))[symbol]
+    images = lift_endomorphism(gadget, {"0": "1", "1": "0"})
+    yield g, LiftedOperation(gadget, 1, lambda prefix: (
+        [images[v] for v in g.domain], Counter()))
 
 
 def test_polymorphism_failure_matches_the_reference_loop():
     """The first failing combination in product order, with its image,
     or None, exactly as the loop over name tuples finds it."""
     verdicts = set()
-    for s, table in _failure_cases():
-        want = _polymorphism_failure_by_loop(table, s)
-        assert table.polymorphism_failure(s) == want
+    for s, op in _failure_cases():
+        want = _polymorphism_failure_by_loop(op, s)
+        assert polymorphism_failure(op, s) == want
+        if isinstance(op, OperationTable):
+            assert op.polymorphism_failure(s) == want
         verdicts.add(want is None)
     assert verdicts == {True, False}
 
