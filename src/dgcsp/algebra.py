@@ -393,7 +393,10 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
     constraints: for each relation and symbol of arity m, one per m-fold
     combination of relation tuples in product order, each of its columns
     read from that list by product index off the relation's position
-    column.  The search is joint over all symbols.
+    column.  The columns are handed to the solver's source as positions,
+    through ``RelationalStructure._of_columns``, over the variable names
+    ``"0"``, ``"1"``, ...; no name is looked up.  The search is joint
+    over all symbols.
     """
     domain = structure.domain
     total = sum(len(domain) ** ar for ar in system.symbols.values())
@@ -438,13 +441,13 @@ def find_interpretations(structure, system, budget=DEFAULT_BUDGET):
 
     rels = []
     for r in structure.relations:
-        tuples = []
+        columns = [[] for _ in r.columns]
         for s, ar in system.symbols.items():
-            tuples += zip(*[map(var[s].__getitem__, _product_indices(c, ar, n))
-                            for c in r.columns])
-        rels.append((r.name, r.arity, tuples))
-    source = RelationalStructure(range(len(first)), rels)
-    names = source.domain
+            for column, c in zip(columns, r.columns):
+                column += map(var[s].__getitem__, _product_indices(c, ar, n))
+        rels.append((r.name, r.arity, columns))
+    names = tuple(map(str, range(len(first))))
+    source = RelationalStructure._of_columns(names, rels)
     sol = HomInstance(source, structure,
                       pins={names[x]: value for x, value in pins.items()}
                       ).solve(budget)

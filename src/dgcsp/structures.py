@@ -7,11 +7,14 @@ are immutable once built and keep their contents in a canonical order so
 that serialization and search are deterministic.
 
 Element and vertex names are strings; files may give them as strings or
-integers, and nothing else.  Only the structure constructor
-(a digraph is built through it) makes relation tuples canonical: it sorts
-them as domain positions and keeps that one form, as position columns.
-Tuples of names are read off the columns only when asked for.  A
-digraph's adjacency is read off the same columns, as positions.
+integers, and nothing else.  Relation tuples are made canonical in one
+step, ``_canonical``: sorted as domain positions and kept in that one
+form, as position columns.  It has two entries.  The checking
+constructor takes names from outside (a digraph is built through it),
+and the private ``RelationalStructure._of_columns`` takes positions from
+the indicator search, which already holds them.  Tuples of names are
+read off the columns only when asked for.  A digraph's adjacency is read
+off the same columns, as positions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 
 class InvalidStructureError(ValueError):
@@ -93,17 +96,35 @@ class Relation:
                            for c in self.columns)))
 
 
+def _canonical(name, arity, canon, domain):
+    """The relation of the set ``canon`` of tuples of positions in
+    ``domain``, in its one canonical form: sorted, as one position column
+    per coordinate.  For arity 2 a pair (i, j) is given as the key
+    i * len(domain) + j, which sorts the same."""
+    ordered = sorted(canon)
+    if arity == 2:
+        n = len(domain)
+        columns = (array("i", [k // n for k in ordered]),
+                   array("i", [k % n for k in ordered]))
+    else:
+        columns = tuple(array("i", map(itemgetter(i), ordered))
+                        for i in range(arity))
+    return Relation(name, arity, columns, domain)
+
+
 class RelationalStructure:
     """A finite relational structure.
 
     The domain order is significant: it fixes tuple ordering, tie-breaking
     in searches and the edge order of the gadget construction.
 
-    This constructor is the one place where names become strings and
-    relations become canonical: from ``(name, arity, tuples)`` triples it
+    This constructor is the checking entry, for names from outside: it
+    turns names into strings and, from ``(name, arity, tuples)`` triples,
     rejects duplicate elements, unknown elements and tuples of the wrong
-    length, turns tuples into domain positions, removes repeats, sorts the
-    rest and keeps them as position ``columns``.  The domain may be empty.
+    length and turns tuples into domain positions.  The one canonical
+    step, shared with the positional entry :meth:`_of_columns`, removes
+    repeats, sorts the rest and keeps them as position ``columns``.  The
+    domain may be empty.
     """
 
     def __init__(self, domain, relations):
@@ -143,9 +164,6 @@ class RelationalStructure:
                         raise InvalidStructureError(
                             f"tuple {(u, v)} of {name!r} uses {e.args[0]!r}, "
                             "which is not an element") from None
-                keys = sorted(canon)
-                columns = (array("i", [k // n for k in keys]),
-                           array("i", [k % n for k in keys]))
             else:
                 for t in tuples:
                     t = tuple(map(str, t))
@@ -158,12 +176,33 @@ class RelationalStructure:
                         raise InvalidStructureError(
                             f"tuple {t} of {name!r} uses {e.args[0]!r}, which "
                             "is not an element") from None
-                ordered = sorted(canon)
-                columns = tuple(array("i", map(itemgetter(i), ordered))
-                                for i in range(arity))
-            rels.append(Relation(name, int(arity), columns, domain))
+            rels.append(_canonical(name, int(arity), canon, domain))
         self.relations = tuple(rels)
         self._by_name = {r.name: r for r in self.relations}
+
+    @classmethod
+    def _of_columns(cls, domain, relations):
+        """The structure over ``domain``, a tuple of distinct string
+        names, with relations given as ``(name, arity, columns)`` triples:
+        one column of domain positions per coordinate, tuples in any order
+        and repeats allowed.  Nothing is checked or looked up; the
+        indicator source of :func:`~dgcsp.algebra.find_interpretations`,
+        which holds its constraints as positions, is built here."""
+        self = cls.__new__(cls)
+        self.domain = domain
+        self._index = {x: i for i, x in enumerate(domain)}
+        n = len(domain)
+        rels = []
+        for name, arity, columns in relations:
+            if arity == 2:
+                u, v = columns
+                canon = set(map(add, map(mul, u, itertools.repeat(n)), v))
+            else:
+                canon = set(zip(*columns))
+            rels.append(_canonical(name, arity, canon, domain))
+        self.relations = tuple(rels)
+        self._by_name = {r.name: r for r in self.relations}
+        return self
 
     # -- basic queries -------------------------------------------------
 

@@ -324,6 +324,48 @@ def test_names_are_read_off_positions_only_when_asked():
     assert g.as_structure().relations[0].tuples is g.edges
 
 
+def _position_relations(rng, n):
+    """Relations over n elements as ``(name, arity, columns)`` triples of
+    positions: one of each arity 1 to 4, tuples unsorted and repeated,
+    and one empty relation of a random arity."""
+    rels = []
+    for k, arity in enumerate([1, 2, 3, 4, rng.randint(1, 4)]):
+        count = rng.randint(1, 20) if n and k < 4 else 0
+        tuples = [tuple(rng.randrange(n) for _ in range(arity))
+                  for _ in range(count)]
+        tuples += rng.choices(tuples, k=count // 2) if tuples else []
+        rng.shuffle(tuples)
+        columns = [list(c) for c in zip(*tuples)] or [[]] * arity
+        rels.append((f"R{k}", arity, columns))
+    return rels
+
+
+def test_positional_entry_matches_the_checking_constructor():
+    """A structure built from position columns through ``_of_columns``
+    equals the one the checking constructor builds from the same tuples
+    written as names, column for column and tuple for tuple, on random
+    domains of 0 to 6 names; a digraph over either's binary relations has
+    the same adjacency."""
+    rng = random.Random(29)
+    for _ in range(300):
+        domain = tuple(map(str, rng.sample(range(100), rng.randint(0, 6))))
+        rels = _position_relations(rng, len(domain))
+        fast = RelationalStructure._of_columns(domain, rels)
+        checked = RelationalStructure(
+            domain, [(name, arity, [tuple(map(domain.__getitem__, t))
+                                    for t in zip(*columns)])
+                     for name, arity, columns in rels])
+        assert fast == checked
+        assert fast.domain == checked.domain
+        for a, b in zip(fast.relations, checked.relations, strict=True):
+            assert a.columns == b.columns
+            assert a.tuples == b.tuples
+            if a.arity == 2:
+                ga, gb = Digraph(domain, a.tuples), Digraph(domain, b.tuples)
+                assert ga.as_structure().relations[0].columns == a.columns
+                assert (ga.succ, ga.pred) == (gb.succ, gb.pred)
+
+
 # -- adjacency by position against the name walks ----------------------
 
 
