@@ -34,6 +34,8 @@ class OperationTable:
     def __init__(self, domain, arity, mapping):
         self.domain = tuple(domain)
         self.arity = int(arity)
+        if self.arity < 1:
+            raise ValueError(f"an operation needs arity at least 1, got {arity}")
         dom = self._index = {x: i for i, x in enumerate(self.domain)}
         table = {}
         for args, value in mapping.items():
@@ -201,13 +203,18 @@ _VAR_RE = re.compile(r"^\w+$")
 
 class IdentitySystem:
     """A finite set of operation symbols, linear identities over them,
-    and symbols marked idempotent.  The constructor is where every term
-    is checked against its symbol's arity."""
+    and symbols marked idempotent.  The constructor is where every
+    symbol's arity, an integer of at least 1, is checked, and every term
+    against it."""
 
     def __init__(self, symbols, identities, idempotent=()):
         self.symbols = dict(symbols)
         self.identities = tuple(identities)
         self.idempotent = frozenset(idempotent)
+        for s, a in self.symbols.items():
+            if type(a) is not int or a < 1:
+                raise IdentityParseError(
+                    f"symbol {s!r} has arity {a!r}, not an integer >= 1")
         for s in self.idempotent:
             if s not in self.symbols:
                 raise IdentityParseError(f"idempotent marker for unknown symbol {s!r}")

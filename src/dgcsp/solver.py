@@ -10,18 +10,19 @@ in target order.  The search works on one list of masks, undone through
 a trail of old masks rather than copied per node, and takes each
 branching variable from a heap of (domain size, position) entries.
 
-Scopes and support tuples are the relations' position columns, zipped.
-Every scope holds distinct variables: one that names a variable twice is
-rewritten, as it is built, over its distinct variables against the
-relation's tuples that agree on the repeats, projected onto the first
-occurrences.  Each support is precomputed once and shared.  A binary
-support has per-value in- and out-neighbour masks and a memo per
-direction from a domain mask to the union of its values' masks.  Every
-revision is made in the propagation loop: a binary one is two memo
-lookups and two ANDs, one of another arity scans the support's tuples.
-A leaf is checked against the source tuples' relations before it is
-reported; one that fails is a broken invariant and raises
-:class:`AssertionError`, never a negative answer.
+A constraint is a scope and a support at one index of two parallel
+lists: its scope is a tuple of distinct variable positions, read off the
+relation's position columns, and its support is shared by every
+constraint of its relation and repeat pattern.  A scope that names a
+variable twice is rewritten, as it is built, over its distinct variables
+against the relation's tuples that agree on the repeats, projected onto
+the first occurrences.  A binary support has per-value in- and
+out-neighbour masks and a memo per direction from a domain mask to the
+union of its values' masks.  Every revision is made in the propagation
+loop: a binary one is two memo lookups and two ANDs, one of another
+arity scans the support's tuples.  A leaf is checked against the source
+tuples' relations before it is reported; one that fails is a broken
+invariant and raises :class:`AssertionError`, never a negative answer.
 
 Every value assignment tried counts against a node budget; running out
 raises :class:`BudgetExhausted`, which callers must treat as a distinct
@@ -30,7 +31,6 @@ outcome, never as "no".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count, repeat
 from operator import eq
@@ -84,12 +84,6 @@ class _Support:
         return sup
 
 
-@dataclass(slots=True)
-class _Constraint:
-    scope: tuple[int, ...]          # distinct variable positions
-    support: _Support               # the tuples it ranges over
-
-
 class HomInstance:
     """A homomorphism search problem ``source -> target`` with pins.
 
@@ -130,9 +124,11 @@ class HomInstance:
                 xi = self._var_index(x)
                 self._masks[xi] &= 1 << self._val_index(v)
 
-        # each variable of a scope watches its constraint; a leaf is
-        # checked against each relation's source columns and tuple set
+        # constraint ci is constraints[ci] over supports[ci], watched by
+        # each variable of its scope; a leaf is checked against each
+        # relation's source columns and tuple set
         self.constraints = constraints = []
+        supports = self._supports = []
         self._checks = []
         watch = self._watch = [[] for _ in self.vars]
         for r in source.relations:
@@ -142,8 +138,8 @@ class HomInstance:
                 (r.name, r.columns, frozenset(support.tuples)))
             start = len(constraints)
             if r.arity == 2 and not any(map(eq, *r.columns)):
-                constraints += map(_Constraint, zip(*r.columns),
-                                   repeat(support))
+                constraints += zip(*r.columns)
+                supports += repeat(support, len(r.columns[0]))
                 for c, x0, x1 in zip(count(start), *r.columns):
                     watch[x0].append(c)
                     watch[x1].append(c)
@@ -160,7 +156,8 @@ class HomInstance:
                          if tuple(map(t.__getitem__, first)) == t),
                         len(keep), nvals)
                 scope = tuple(dict.fromkeys(scope))
-                constraints.append(_Constraint(scope, derived[first]))
+                constraints.append(scope)
+                supports.append(derived[first])
                 for xi in scope:
                     watch[xi].append(ci)
 
@@ -192,6 +189,7 @@ class HomInstance:
         wipeout included; the root call needs no undo.
         """
         constraints = self.constraints
+        supports = self._supports
         watch = self._watch
         if queue is None:
             pending = set(range(len(constraints)))
@@ -199,11 +197,11 @@ class HomInstance:
             pending = set(queue)
         while pending:
             ci = pending.pop()
-            c = constraints[ci]
-            scope = c.scope
+            scope = constraints[ci]
+            support = supports[ci]
             if len(scope) != 2:
                 supported = dict.fromkeys(scope, 0)
-                for t in c.support.tuples:
+                for t in support.tuples:
                     for xi, vi in zip(scope, t):
                         if not (masks[xi] >> vi) & 1:
                             break
@@ -226,7 +224,6 @@ class HomInstance:
             x0, x1 = scope
             m0 = masks[x0]
             m1 = masks[x1]
-            support = c.support
             memo_in, memo_out = support.memos
             new0 = memo_in.get(m1)
             if new0 is None:

@@ -29,6 +29,14 @@ def three_cycle():
 # -- operation tables -------------------------------------------------
 
 
+def test_table_of_arity_below_one_is_refused():
+    """A table needs at least one argument, so that each row has a
+    prefix of ``arity - 1`` entries."""
+    for arity in (0, -1):
+        with pytest.raises(ValueError, match="arity at least 1"):
+            OperationTable(["0", "1"], arity, {(): "1"})
+
+
 def test_table_from_function_and_json():
     t = OperationTable.from_function(["0", "1"], 2, min)
     assert t("0", "1") == "0"
@@ -273,6 +281,17 @@ def test_parse_checks_arity_across_lines():
     """One symbol at two arities, on separate lines, is a parse error."""
     with pytest.raises(IdentityParseError):
         IdentitySystem.parse("f(x, y) = f(y, x)\nf(x, x, y) = x")
+
+
+def test_nonpositive_or_non_integer_arity_is_refused():
+    """The constructor is the one arity check: a symbol of arity 0, a
+    negative one, or one that is not an integer is refused there, before
+    any search reads it."""
+    for arity in (0, -1, True, 2.0, "2"):
+        with pytest.raises(IdentityParseError, match="arity"):
+            IdentitySystem({"c": arity}, [])
+    with pytest.raises(IdentityParseError, match="arity"):
+        find_interpretations(leq_template(), IdentitySystem({"c": 0}, []))
 
 
 # The canned systems as Term/Identity objects, built by hand; the library

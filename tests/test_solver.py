@@ -11,7 +11,7 @@ from dgcsp import algebra, selftest
 from dgcsp.gadget import build_gadget
 from dgcsp.reductions import backward_reduce, forward_translate
 from dgcsp.solver import (BudgetExhausted, HomInstance, SolverUsageError,
-                          _Constraint, _Support, digraph_hom,
+                          _Support, digraph_hom,
                           digraph_hom_exists, find_homomorphism)
 from dgcsp.structures import (Digraph, RelationalStructure,
                               collapse_to_single_relation)
@@ -52,9 +52,7 @@ def test_a_leaf_that_fails_its_check_is_an_internal_error():
     tuple; a broken support that lets another through raises rather
     than reading as NO."""
     inst = HomInstance(cycle_instance(3), two_cycle())
-    scope = inst.constraints[0].scope
-    inst.constraints[0] = _Constraint(
-        scope, _Support(itertools.product(range(2), repeat=2), 2, 2))
+    inst._supports[0] = _Support(itertools.product(range(2), repeat=2), 2, 2)
     with pytest.raises(AssertionError, match=r"E tuple \(c0, c1\)"):
         inst.solve()
     with pytest.raises(AssertionError, match=r"E tuple \(c0, c1\)"):
@@ -443,7 +441,7 @@ def test_pinned_tuple_scan_search():
     """The first solution (by digest) and the exact node count of a
     search whose constraints are all 4-ary."""
     inst = _one_in_three_backward_instance()
-    assert {len(c.scope) for c in inst.constraints} == {4}
+    assert set(map(len, inst.constraints)) == {4}
     nodes = 29
     sols = inst.solve_all(budget=nodes, limit=1)
     got = hashlib.sha256(json.dumps(_by_name(inst, sols[0])).encode())
@@ -481,7 +479,7 @@ def test_pinned_repeated_scope_search():
     constraint is binary."""
     inst = _repeated_scope_instance()
     assert {len(set(t)) for t in inst.source.relations[0].tuples} == {2}
-    assert {len(c.scope) for c in inst.constraints} == {2}
+    assert set(map(len, inst.constraints)) == {2}
     nodes = 470
     sols = inst.solve_all(budget=nodes, limit=1)
     got = hashlib.sha256(json.dumps(_by_name(inst, sols[0])).encode())
@@ -550,8 +548,9 @@ def _instances_to_read():
 
 
 def test_scopes_and_supports_are_the_tuples_positions():
-    """Constraint scopes, support tuples and watch lists equal what the
-    rule ``tuple(structure.index(x) for x in t)`` gives, in order.  A
+    """Constraint scopes, plain tuples of ints, the support tuples at the
+    same index of a list of the same length, and watch lists equal what
+    the rule ``tuple(structure.index(x) for x in t)`` gives, in order.  A
     scope that repeats a variable ranges over its distinct variables, in
     first-occurrence order, against the target tuples that agree on the
     repeats, projected onto the first occurrences; constraints of one
@@ -572,13 +571,17 @@ def test_scopes_and_supports_are_the_tuples_positions():
                     tuple(a[p] for p in keep) for a in allowed
                     if all(a[p] == a[f] for p, f in enumerate(first))))
                 patterns.append((r.name, first))
-        assert [c.scope for c in inst.constraints] == scopes
-        assert all(len(set(c.scope)) == len(c.scope) for c in inst.constraints)
-        assert [c.support.tuples for c in inst.constraints] == supports
+        assert len(inst.constraints) == len(inst._supports)
+        assert inst.constraints == scopes
+        assert all(type(scope) is tuple and all(type(x) is int for x in scope)
+                   for scope in inst.constraints)
+        assert all(len(set(scope)) == len(scope) for scope in inst.constraints)
+        assert [sup.tuples for sup in inst._supports] == supports
         shared = {}
-        for c, pattern in zip(inst.constraints, patterns):
-            assert shared.setdefault(pattern, c.support) is c.support
-            assert hasattr(c.support, "memos") == (len(c.scope) == 2)
+        for scope, sup, pattern in zip(inst.constraints, inst._supports,
+                                       patterns):
+            assert shared.setdefault(pattern, sup) is sup
+            assert hasattr(sup, "memos") == (len(scope) == 2)
         watch = [[] for _ in source.domain]
         for ci, scope in enumerate(scopes):
             for xi in scope:
